@@ -296,8 +296,8 @@ func run() error {
 	}()
 
 	// The raw-TCP decision plane rides beside HTTP: same templates,
-	// same decide path, no HTTP framing. Clients opt in with
-	// tcp://host:port (admin traffic stays on -addr).
+	// same decide and get/put paths, no HTTP framing. Clients opt in
+	// with tcp://host:port (admin traffic stays on -addr).
 	var tcpSrv *server.TCPServer
 	if *tcpAddr != "" {
 		ln, err := net.Listen("tcp", *tcpAddr)

@@ -11,8 +11,8 @@ import (
 	"repro/internal/metrics"
 )
 
-// Control-plane calls. These are off the decision hot path and use
-// encoding/json over the same pooled transport.
+// Admin-plane calls. These are off the decision path and use
+// encoding/json over the pooled HTTP transport.
 
 // postJSON sends a JSON body and decodes the JSON reply into out
 // (skipped when out is nil).
@@ -186,18 +186,4 @@ func (c *Client) Health() (Health, error) {
 		return h, fmt.Errorf("client: daemon health status %q", h.Status)
 	}
 	return h, nil
-}
-
-// PostRawJSON relays a pre-encoded JSON body to path and returns an
-// owned copy of the response body. This is the registry's fan-out
-// primitive for control-plane endpoints (put, get) whose request
-// bodies it forwards verbatim rather than re-marshaling.
-func (c *Client) PostRawJSON(path string, body []byte) ([]byte, error) {
-	cn, resp, err := c.roundTrip("POST", path, "application/json", body)
-	if err != nil {
-		return nil, err
-	}
-	out := append([]byte(nil), resp...) // resp aliases conn scratch
-	c.release(cn, true)
-	return out, nil
 }

@@ -12,8 +12,12 @@
 // caller-owned scratch, so a steady-state batched lookup performs
 // zero heap allocations end to end on the client side
 // (TestClientLookupZeroAlloc pins this against a canned-response
-// server). Control-plane calls (install, stats, templates, put, get)
-// use encoding/json — they are off the hot path.
+// server). The repository get/put calls are decision-plane traffic
+// too — in a workload-shift fleet the controller's interference probes
+// outnumber its lookups — so they share the decision transport: wire
+// envelopes on the raw-TCP plane, or the hand-rolled JSON bodies of
+// /v1/get and /v1/put over HTTP (see Entry). Admin calls (install,
+// stats, templates, dump, snapshot) use encoding/json over HTTP.
 //
 // Optional batch coalescing merges concurrent single-signature
 // lookups into batched wire requests per (template, bucket), trading
@@ -163,7 +167,7 @@ type Client struct {
 	cfg      Config
 	idle     chan *conn    // pooled HTTP connections
 	tcpIdle  chan *tcpConn // pooled raw-TCP decision connections
-	payloads sync.Pool     // *[]byte: decision payload encode scratch
+	payloads sync.Pool     // *[]byte: request payload encode scratch
 	closed   atomic.Bool
 	// closeCh is closed by Close so retries sleeping in backoff wake
 	// immediately instead of holding shutdown for the backoff sum.
@@ -209,6 +213,7 @@ func New(cfg Config) (*Client, error) {
 		closeCh: make(chan struct{}),
 		jitter:  rng.New(cfg.RetryJitterSeed),
 	}
+	c.payloads.New = func() any { return new([]byte) }
 	if cfg.TraceEvery > 0 {
 		c.spans = obs.NewSpanRing(obs.DefaultSpanRingSize)
 	}
@@ -693,10 +698,7 @@ func (c *Client) sampleTrace() obs.TraceContext {
 // ordinary untraced Decide.
 func (c *Client) DecideTraced(lookup bool, req *wire.Request, resp *wire.Response, tc obs.TraceContext) error {
 	start := time.Now()
-	bufp, _ := c.payloads.Get().(*[]byte)
-	if bufp == nil {
-		bufp = new([]byte)
-	}
+	bufp := c.payloads.Get().(*[]byte)
 	payload, err := req.Append(c.cfg.Encoding, (*bufp)[:0])
 	*bufp = payload
 	if err != nil {
@@ -745,5 +747,41 @@ func (c *Client) decideHTTP(lookup bool, payload []byte, resp *wire.Response, tc
 	}
 	err = resp.Decode(c.cfg.Encoding, body)
 	c.release(cn, err == nil)
+	return err
+}
+
+// Entry sends one repository get (put false) or put request built in
+// e and decodes the reply into e's reply fields. It rides the decision
+// transport: over TransportTCP a StreamFlagGet/StreamFlagPut envelope
+// in the connection's encoding, through the same retry loop as
+// decisions; over HTTP the JSON body of /v1/get or /v1/put. A warmed
+// binary get or put over TCP allocates nothing (pinned by
+// TestClientTCPEntryZeroAlloc).
+func (c *Client) Entry(put bool, e *wire.Entry) error {
+	flags, path := byte(wire.StreamFlagGet), "/v1/get"
+	if put {
+		flags, path = wire.StreamFlagPut, "/v1/put"
+	}
+	enc := wire.EncodingJSON
+	if c.cfg.Transport == TransportTCP {
+		enc = c.cfg.Encoding
+	}
+	bufp := c.payloads.Get().(*[]byte)
+	payload := e.AppendRequest(enc, put, (*bufp)[:0])
+	*bufp = payload
+	var err error
+	if c.cfg.Transport == TransportTCP {
+		err = c.tcpRoundTrip(flags, payload, obs.TraceContext{}, func(body []byte) error {
+			return e.DecodeReply(enc, put, body)
+		})
+	} else {
+		var cn *conn
+		var body []byte
+		if cn, body, err = c.roundTrip("POST", path, wire.ContentTypeJSON, payload); err == nil {
+			err = e.DecodeReply(enc, put, body)
+			c.release(cn, err == nil)
+		}
+	}
+	c.payloads.Put(bufp)
 	return err
 }

@@ -57,8 +57,9 @@ type TemplateSource struct {
 
 // decideScratch is the reusable wire state of one in-flight decision.
 type decideScratch struct {
-	req  wire.Request
-	resp wire.Response
+	req   wire.Request
+	resp  wire.Response
+	entry wire.Entry
 }
 
 // Source binds the client to a remote template. events is the
@@ -141,36 +142,39 @@ func decisionToLookup(d *wire.Decision) core.LookupResult {
 	return res
 }
 
-// Get implements core.DecisionSource via POST /v1/get (off the hot
-// path: the controller probes it only on interference escalation).
+// Get implements core.DecisionSource over the decision transport
+// (Client.Entry): the controller's interference probe by (class,
+// bucket).
 func (s *TemplateSource) Get(class, bucket int) (cloud.Allocation, bool, error) {
-	var out struct {
-		Hit   bool   `json:"hit"`
-		Type  string `json:"type"`
-		Count int    `json:"count"`
-	}
-	err := s.c.postJSON("/v1/get", map[string]any{
-		"template": s.template, "class": class, "bucket": bucket,
-	}, &out)
-	if err != nil {
+	sc := s.scratch.Get().(*decideScratch)
+	defer s.scratch.Put(sc)
+	e := s.entry(sc, class, bucket)
+	if err := s.c.Entry(false, e); err != nil {
 		return cloud.Allocation{}, false, err
 	}
-	if !out.Hit {
+	if !e.Hit {
 		return cloud.Allocation{}, false, nil
 	}
-	typ, err := cloud.TypeByName(out.Type)
-	if err != nil {
-		return cloud.Allocation{}, false, err
-	}
-	return cloud.Allocation{Type: typ, Count: out.Count}, true, nil
+	return cloud.Allocation{Type: e.Type.Instance(), Count: e.Count}, true, nil
 }
 
-// Put implements core.DecisionSource via POST /v1/put.
+// Put implements core.DecisionSource over the decision transport
+// (Client.Entry).
 func (s *TemplateSource) Put(class, bucket int, alloc cloud.Allocation) error {
-	return s.c.postJSON("/v1/put", map[string]any{
-		"template": s.template, "class": class, "bucket": bucket,
-		"type": alloc.Type.Name, "count": alloc.Count,
-	}, nil)
+	sc := s.scratch.Get().(*decideScratch)
+	defer s.scratch.Put(sc)
+	e := s.entry(sc, class, bucket)
+	e.Type, e.Count = alloc.Type.ID(), alloc.Count
+	return s.c.Entry(true, e)
+}
+
+// entry readies the scratch entry for a request on this template.
+func (s *TemplateSource) entry(sc *decideScratch, class, bucket int) *wire.Entry {
+	e := &sc.entry
+	e.Reset()
+	e.SetTemplate(s.template)
+	e.Class, e.Bucket = class, bucket
+	return e
 }
 
 var _ core.DecisionSource = (*TemplateSource)(nil)

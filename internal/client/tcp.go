@@ -13,9 +13,10 @@ import (
 // Raw-TCP decision transport. Decisions travel as wire envelopes
 // over persistent connections (see internal/wire stream framing):
 // one hello exchange per connection negotiating the encoding, then
-// request envelopes answered by id. The admin plane (install, stats,
-// snapshot) stays on HTTP — this transport exists purely to strip
-// HTTP overhead from the hot path. Retry policy matches the HTTP
+// request envelopes answered by id. Every core.DecisionSource call
+// rides it — classify, lookup, and the repository get/put of the
+// controller's interference and miss paths; the admin plane (install,
+// stats, snapshot) stays on HTTP. Retry policy matches the HTTP
 // plane: transport failures retry on fresh connections with capped,
 // jittered backoff; server rejections arrive as error envelopes and
 // are returned as *APIError without retry.
@@ -92,10 +93,26 @@ func (c *Client) releaseTCP(cn *tcpConn, healthy bool) {
 }
 
 // decideTCP carries one encoded decision payload over the raw-TCP
-// plane, retrying transport failures like roundTrip does for HTTP.
-// The steady-state binary path allocates nothing once the pool and
-// stream scratch have warmed up (pinned by TestClientTCPLookupZeroAlloc).
+// plane and decodes the reply into resp. The steady-state binary path
+// allocates nothing once the pool and stream scratch have warmed up
+// (pinned by TestClientTCPLookupZeroAlloc).
 func (c *Client) decideTCP(lookup bool, payload []byte, resp *wire.Response, tc obs.TraceContext) error {
+	var flags byte
+	if lookup {
+		flags = wire.StreamFlagLookup
+	}
+	return c.tcpRoundTrip(flags, payload, tc, func(body []byte) error {
+		return resp.Decode(c.cfg.Encoding, body)
+	})
+}
+
+// tcpRoundTrip sends one request envelope (flags name the operation)
+// and hands the reply payload to decode, retrying transport failures
+// on fresh connections like roundTrip does for HTTP. Every operation
+// on the raw-TCP plane — classify, lookup, get, put — shares this one
+// retry and backoff policy. decode must consume the payload before
+// returning: it aliases the connection's read scratch.
+func (c *Client) tcpRoundTrip(flags byte, payload []byte, tc obs.TraceContext, decode func([]byte) error) error {
 	var lastErr error
 	for attempt := 0; attempt <= c.cfg.Retries; attempt++ {
 		if attempt > 0 {
@@ -108,23 +125,34 @@ func (c *Client) decideTCP(lookup bool, payload []byte, resp *wire.Response, tc 
 			lastErr = err
 			continue
 		}
-		apiErr, err := c.exchangeTCP(cn, lookup, payload, resp, tc)
+		apiErr, err := c.exchangeTCP(cn, flags, payload, tc, decode)
 		if err != nil {
 			cn.nc.Close()
 			lastErr = err
 			continue
 		}
+		// An error envelope means the server parsed and rejected the
+		// request; the stream stays synchronized, so the connection is
+		// reusable and the rejection — like an HTTP 4xx — is never
+		// retried.
+		c.releaseTCP(cn, true)
 		if apiErr != nil {
-			// The server parsed and rejected the request; the stream
-			// stays synchronized, so the connection is reusable and the
-			// rejection — like an HTTP 4xx — is never retried.
-			c.releaseTCP(cn, true)
 			return apiErr
 		}
-		c.releaseTCP(cn, true)
 		return nil
 	}
-	return fmt.Errorf("client: tcp decide failed after %d attempts: %w", c.cfg.Retries+1, lastErr)
+	return fmt.Errorf("client: tcp %s failed after %d attempts: %w", tcpOp(flags), c.cfg.Retries+1, lastErr)
+}
+
+// tcpOp names a request envelope's operation for error messages.
+func tcpOp(flags byte) string {
+	switch {
+	case flags&wire.StreamFlagGet != 0:
+		return "get"
+	case flags&wire.StreamFlagPut != 0:
+		return "put"
+	}
+	return "decide"
 }
 
 // Ping round-trips one empty ping-flagged envelope on the raw-TCP
@@ -164,19 +192,16 @@ func (c *Client) Ping() error {
 }
 
 // exchangeTCP writes one request envelope and reads its response on
-// cn, decoding into resp. A non-nil *APIError is a server-side
-// rejection (error envelope); err covers transport and framing
-// failures, after which the caller must close the connection.
-func (c *Client) exchangeTCP(cn *tcpConn, lookup bool, payload []byte, resp *wire.Response, tc obs.TraceContext) (*APIError, error) {
+// cn, handing the reply payload to decode. A non-nil *APIError is a
+// server-side rejection (error envelope); err covers transport,
+// framing and decode failures, after which the caller must close the
+// connection.
+func (c *Client) exchangeTCP(cn *tcpConn, flags byte, payload []byte, tc obs.TraceContext, decode func([]byte) error) (*APIError, error) {
 	if err := cn.nc.SetDeadline(time.Now().Add(c.cfg.RequestTimeout)); err != nil {
 		return nil, err
 	}
 	cn.nextID++
 	id := cn.nextID
-	var flags byte
-	if lookup {
-		flags = wire.StreamFlagLookup
-	}
 	var prefix []byte
 	if tc.Valid() {
 		// A sampled decision slides its 16-byte trace context ahead of
@@ -200,8 +225,5 @@ func (c *Client) exchangeTCP(cn *tcpConn, lookup bool, payload []byte, resp *wir
 	if gotFlags&wire.StreamFlagError != 0 {
 		return &APIError{Status: 400, Body: string(body)}, nil
 	}
-	if err := resp.Decode(c.cfg.Encoding, body); err != nil {
-		return nil, err
-	}
-	return nil, nil
+	return nil, decode(body)
 }

@@ -1,13 +1,18 @@
 package client
 
 import (
+	"math/rand"
 	"net"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/cloud"
 	"repro/internal/core"
 	"repro/internal/server"
+	"repro/internal/services"
+	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -290,5 +295,143 @@ func TestClientTCPLookupZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, lookup); allocs != 0 {
 		t.Errorf("TCP lookup allocates %.1f times per op, want 0", allocs)
+	}
+}
+
+// countingSource counts the get/put calls a controller makes through
+// a decision source.
+type countingSource struct {
+	core.DecisionSource
+	gets, puts int
+}
+
+func (s *countingSource) Get(class, bucket int) (cloud.Allocation, bool, error) {
+	s.gets++
+	return s.DecisionSource.Get(class, bucket)
+}
+
+func (s *countingSource) Put(class, bucket int, alloc cloud.Allocation) error {
+	s.puts++
+	return s.DecisionSource.Put(class, bucket, alloc)
+}
+
+// TestTCPOnlySourceServesController pins that a decisions-only client
+// ("tcp://host:port", no HTTP plane) carries a whole controller: with
+// interference detection on, the controller's Get probes and Put
+// stores ride the TCP plane like its lookups, and none fails for want
+// of an HTTP address.
+func TestTCPOnlySourceServesController(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	tr := trace.Messenger(trace.SynthConfig{Rng: rng}).ScaleTo(500)
+	svc := services.NewCassandra()
+	day0, err := tr.Day(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := core.NewProfiler(svc, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuner, err := core.NewScaleOutTuner(svc, cloud.Large, svc.MinInstances, svc.MaxInstances)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repo, _, err := core.Learn(core.LearnConfig{
+		Profiler: prof, Tuner: tuner, Workloads: core.WorkloadsFromTrace(day0, svc.DefaultMix()), Rng: rng,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, tcpAddr, s := startTCPDaemon(t, map[string]*core.Repository{"cassandra": repo}, server.Config{})
+
+	c, err := New(Config{Addr: "tcp://" + tcpAddr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	remote, err := c.Source("cassandra", repo.EventsRef())
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &countingSource{DecisionSource: remote}
+	ctl, err := core.NewController(core.ControllerConfig{
+		Source:                src,
+		Profiler:              prof,
+		Tuner:                 tuner,
+		Service:               svc,
+		InterferenceDetection: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	days, err := tr.Slice(24, 3*24)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.Run(sim.Config{
+		Service:    svc,
+		Trace:      days,
+		Controller: ctl,
+		Initial:    svc.MaxAllocation(),
+		Interference: func(now time.Duration) float64 {
+			if now >= 6*time.Hour {
+				return 0.2
+			}
+			return 0
+		},
+	}); err != nil {
+		t.Fatalf("controller over a tcp:// source: %v", err)
+	}
+	if src.gets == 0 || src.puts == 0 {
+		t.Fatalf("controller made %d gets and %d puts, want both", src.gets, src.puts)
+	}
+	if st := s.StatsSnapshot(); st.GetReqs != int64(src.gets) || st.PutReqs != int64(src.puts) || st.BadRequests != 0 {
+		t.Errorf("daemon served %d gets, %d puts, %d rejections; controller made %d gets, %d puts",
+			st.GetReqs, st.PutReqs, st.BadRequests, src.gets, src.puts)
+	}
+}
+
+// TestClientTCPEntryZeroAlloc pins a warmed binary Get and Put through
+// a TemplateSource over the real TCP plane at zero allocations per op
+// (client and server: AllocsPerRun counts every goroutine).
+func TestClientTCPEntryZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	repo := learnRepo(t, 1)
+	_, tcpAddr, _ := startTCPDaemon(t, map[string]*core.Repository{"cassandra": repo}, server.Config{})
+	c, err := New(Config{Addr: "tcp://" + tcpAddr, Encoding: wire.EncodingBinary})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	src, err := c.Source("cassandra", repo.EventsRef())
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc := cloud.Allocation{Type: cloud.Large, Count: 3}
+	put := func() {
+		if err := src.Put(0, 4, alloc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	get := func() {
+		got, ok, err := src.Get(0, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok || !got.Equal(alloc) {
+			t.Fatalf("get returned %+v/%v, want %+v", got, ok, alloc)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		put()
+		get()
+	}
+	if allocs := testing.AllocsPerRun(200, put); allocs != 0 {
+		t.Errorf("TCP put allocates %.1f times per op, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(200, get); allocs != 0 {
+		t.Errorf("TCP get allocates %.1f times per op, want 0", allocs)
 	}
 }

@@ -52,15 +52,28 @@ func (b *FleetBill) Post(u TenantUsage) {
 	b.posted++
 }
 
-// Total returns the fleet-wide bill total in USD.
+// Total returns the fleet-wide bill total in USD. The sum runs in
+// tenant-name order: float addition is not associative, so summing in
+// map order would let the last bits (and the sign of a zero) vary from
+// call to call.
 func (b *FleetBill) Total() float64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	sum := 0.0
-	for _, u := range b.usage {
-		sum += u.Cost
+	for _, name := range b.namesLocked() {
+		sum += b.usage[name].Cost
 	}
 	return sum
+}
+
+// namesLocked returns the tenant names sorted; b.mu must be held.
+func (b *FleetBill) namesLocked() []string {
+	names := make([]string, 0, len(b.usage))
+	for name := range b.usage {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // Tenants returns every tenant's usage, sorted by descending cost and
@@ -87,7 +100,8 @@ func (b *FleetBill) ByService() []TenantUsage {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	agg := make(map[string]TenantUsage)
-	for _, u := range b.usage {
+	for _, name := range b.namesLocked() { // fixed order: bit-stable sums
+		u := b.usage[name]
 		cur := agg[u.Service]
 		cur.Tenant = u.Service
 		cur.Service = u.Service

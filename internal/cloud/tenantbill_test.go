@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -93,6 +94,39 @@ func TestFleetBillWrite(t *testing.T) {
 	for _, want := range []string{"vm-a", "rubis", "total", "12.50"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestFleetBillTotalBitStable pins that Total does not depend on the
+// order tenants were posted in (nor on map iteration order): costs of
+// mixed magnitude and sign make float addition order-sensitive, so
+// every permutation must still produce the same bits, call after call.
+func TestFleetBillTotalBitStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	usage := make([]TenantUsage, 64)
+	for i := range usage {
+		usage[i] = TenantUsage{
+			Tenant:  fmt.Sprintf("vm-%02d", i),
+			Service: []string{"cassandra", "specweb", "rubis"}[i%3],
+			Cost:    rng.NormFloat64() * math.Pow10(rng.Intn(12)-4),
+		}
+	}
+	var want uint64
+	for perm := 0; perm < 20; perm++ {
+		rng.Shuffle(len(usage), func(i, j int) { usage[i], usage[j] = usage[j], usage[i] })
+		b := NewFleetBill()
+		for _, u := range usage {
+			b.Post(u)
+		}
+		for call := 0; call < 5; call++ {
+			got := math.Float64bits(b.Total())
+			if perm == 0 && call == 0 {
+				want = got
+			}
+			if got != want {
+				t.Fatalf("permutation %d call %d: Total bits %#x, want %#x", perm, call, got, want)
+			}
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync/atomic"
@@ -254,36 +255,60 @@ func compareFleetResults(t *testing.T, local, remote *Result) {
 // installs), and the run is byte-identical to the in-process fleet at
 // the same seed — same step records, hit/miss counters, and
 // tuner-cache stats as the PR 5 HTTP integration test pins.
-func TestFleetRemoteTCPEquivalence(t *testing.T) {
+func TestFleetRemoteTCPEquivalence(t *testing.T) { testFleetRemoteTCP(t, false) }
+
+// TestFleetRemoteTCPEquivalenceInterference runs the TCP equivalence
+// bar with host interference and the controllers' Eq. 2 loop on, so
+// the fleet's repository gets (interference probes) and puts (tuned
+// allocations) cross the wire too. One worker keeps the order of puts
+// into the shared repository, and so the run, deterministic. Every get
+// and put must ride the TCP plane: the HTTP plane serves the installs
+// and stats only.
+func TestFleetRemoteTCPEquivalenceInterference(t *testing.T) { testFleetRemoteTCP(t, true) }
+
+func testFleetRemoteTCP(t *testing.T, interference bool) {
 	if testing.Short() {
 		t.Skip("two full fleet runs")
 	}
 	const vms = 25
 	const seed = 42
 
-	scenario := func() []sim.VMSpec {
+	run := func(remote *client.Client) *Result {
+		t.Helper()
 		specs, err := sim.GenerateScenario(sim.ScenarioConfig{
-			Rng:         rand.New(rand.NewSource(seed)),
-			VMs:         vms,
-			Days:        1,
-			Homogeneous: true,
+			Rng:          rand.New(rand.NewSource(seed)),
+			VMs:          vms,
+			Days:         1,
+			Homogeneous:  true,
+			Interference: interference,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return specs
+		cfg := Config{Specs: specs, Remote: remote}
+		if interference {
+			cfg.InterferenceDetection = true
+			cfg.Workers = 1
+		}
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-
-	local, err := Run(Config{Specs: scenario()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	local := run(nil)
 
 	srv, err := server.New(server.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv.Handler())
+	var httpEntries atomic.Int64 // /v1/get and /v1/put requests on the HTTP plane
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/get" || r.URL.Path == "/v1/put" {
+			httpEntries.Add(1)
+		}
+		srv.Handler().ServeHTTP(w, r)
+	}))
 	defer ts.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -308,16 +333,20 @@ func TestFleetRemoteTCPEquivalence(t *testing.T) {
 	}
 	defer cl.Close()
 
-	remote, err := Run(Config{Specs: scenario(), Remote: cl})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := srv.StatsSnapshot(); st.BadRequests != 0 {
+	remote := run(cl)
+	st := srv.StatsSnapshot()
+	if st.BadRequests != 0 {
 		t.Errorf("daemon rejected %d requests", st.BadRequests)
 	}
 	// Every fleet decision crossed the TCP plane, none the HTTP one.
 	if tcpSrv.Conns() == 0 {
 		t.Error("no TCP connections were made — decisions rode HTTP")
+	}
+	if n := httpEntries.Load(); n != 0 {
+		t.Errorf("the HTTP plane served %d gets/puts, want 0", n)
+	}
+	if interference && (st.GetReqs == 0 || st.PutReqs == 0) {
+		t.Errorf("daemon served %d gets and %d puts over TCP, want both", st.GetReqs, st.PutReqs)
 	}
 	compareFleetResults(t, local, remote)
 }

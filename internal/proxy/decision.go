@@ -107,10 +107,31 @@ type DecisionFront struct {
 
 // frontScratch is the pooled per-request state.
 type frontScratch struct {
-	body []byte
-	req  wire.Request
-	resp wire.Response
-	out  []byte
+	body  []byte
+	req   wire.Request
+	resp  wire.Response
+	entry wire.Entry
+	out   []byte
+}
+
+// readBody drains a request body (at most 8 MiB) into the pooled
+// buffer; steady state allocates nothing once the buffer fits.
+func readBody(body io.Reader, buf []byte) ([]byte, error) {
+	buf = buf[:0]
+	limited := io.LimitReader(body, 8<<20)
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := limited.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
 }
 
 // NewDecisionFront validates the configuration and starts the mirror
@@ -138,8 +159,8 @@ func NewDecisionFront(cfg DecisionFrontConfig) (*DecisionFront, error) {
 		// ring, so one /v1/trace dump shows both hops of a decision.
 		cfg.Replicas.SetSpans(f.spans)
 		f.mux.HandleFunc("/v1/install", f.handleInstall)
-		f.mux.HandleFunc("/v1/put", f.handleRelay(cfg.Replicas.PutRaw))
-		f.mux.HandleFunc("/v1/get", f.handleRelay(cfg.Replicas.GetRaw))
+		f.mux.HandleFunc("/v1/put", f.handleEntry(true))
+		f.mux.HandleFunc("/v1/get", f.handleEntry(false))
 		f.mux.HandleFunc("/v1/templates", f.handleTemplates)
 		f.mux.HandleFunc("/v1/health", f.handleHealth)
 	}
@@ -196,21 +217,10 @@ func (f *DecisionFront) handleDecision(w http.ResponseWriter, r *http.Request, l
 	enc := wire.EncodingForContentType(r.Header.Get("Content-Type"))
 	sc := f.pool.Get().(*frontScratch)
 	defer f.pool.Put(sc)
-	sc.body = sc.body[:0]
-	limited := io.LimitReader(r.Body, 8<<20)
-	for {
-		if len(sc.body) == cap(sc.body) {
-			sc.body = append(sc.body, 0)[:len(sc.body)]
-		}
-		n, rerr := limited.Read(sc.body[len(sc.body):cap(sc.body)])
-		sc.body = sc.body[:len(sc.body)+n]
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			f.fail(w, http.StatusBadRequest, rerr)
-			return
-		}
+	var err error
+	if sc.body, err = readBody(r.Body, sc.body); err != nil {
+		f.fail(w, http.StatusBadRequest, err)
+		return
 	}
 	if err := sc.req.Decode(enc, sc.body); err != nil {
 		f.fail(w, http.StatusBadRequest, err)
@@ -240,7 +250,7 @@ func (f *DecisionFront) handleDecision(w http.ResponseWriter, r *http.Request, l
 		child = obs.Child(parent)
 	}
 	start := time.Now()
-	err := f.decideTraced(lookup, &sc.req, &sc.resp, child)
+	err = f.decideTraced(lookup, &sc.req, &sc.resp, child)
 	elapsed := time.Since(start)
 	f.decideLat.Record(elapsed)
 	if child.Valid() {
@@ -480,28 +490,41 @@ func (f *DecisionFront) handleInstall(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(map[string]any{"template": template, "version": version})
 }
 
-// handleRelay forwards a POSTed JSON body through one of the
-// registry's raw relays (put fan-out, get failover) and returns the
-// replica reply verbatim.
-func (f *DecisionFront) handleRelay(relay func([]byte) ([]byte, error)) http.HandlerFunc {
+// handleEntry serves /v1/get and /v1/put for the tier: the JSON body
+// is decoded once, routed through the registry's typed Get (failover)
+// or Put (fan-out) — each replica hop on that replica's decision
+// transport — and answered in the daemon's own JSON reply shape.
+func (f *DecisionFront) handleEntry(put bool) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
 			w.Header().Set("Allow", http.MethodPost)
 			f.fail(w, http.StatusMethodNotAllowed, errors.New("proxy: method not allowed"))
 			return
 		}
-		body, err := io.ReadAll(io.LimitReader(r.Body, 8<<20))
-		if err != nil {
+		sc := f.pool.Get().(*frontScratch)
+		defer f.pool.Put(sc)
+		var err error
+		if sc.body, err = readBody(r.Body, sc.body); err != nil {
 			f.fail(w, http.StatusBadRequest, err)
 			return
 		}
-		out, err := relay(body)
+		e := &sc.entry
+		if err := e.DecodeRequest(wire.EncodingJSON, put, sc.body); err != nil {
+			f.fail(w, http.StatusBadRequest, err)
+			return
+		}
+		if put {
+			err = f.cfg.Replicas.Put(e)
+		} else {
+			err = f.cfg.Replicas.Get(e)
+		}
 		if err != nil {
 			f.relayError(w, err)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write(out)
+		sc.out = e.AppendReply(wire.EncodingJSON, put, sc.out[:0])
+		w.Header().Set("Content-Type", wire.ContentTypeJSON)
+		_, _ = w.Write(sc.out)
 	}
 }
 

@@ -279,3 +279,68 @@ func TestTraceStitchedAcrossTiers(t *testing.T) {
 			root.Start, frontSpan.Start, regSpan.Start, leaf.Start)
 	}
 }
+
+// TestDecisionFrontGetPut pins the tier's /v1/get and /v1/put: the
+// front decodes the JSON body once, the registry carries the request
+// to the replicas on their TCP planes (a put to every replica, a get
+// to one), and the reply is the JSON a bare dejavud answers, byte for
+// byte. Rejections keep the daemon's status.
+func TestDecisionFrontGetPut(t *testing.T) {
+	repo := learnFrontRepo(t, 71)
+	var srvs []*server.Server
+	var specs []replica.Spec
+	for _, name := range []string{"a", "b"} {
+		httpAddr, tcpAddr, srv := startDejavudTCP(t, learnFrontRepo(t, 71))
+		srvs = append(srvs, srv)
+		specs = append(specs, replica.Spec{Name: name, Addr: httpAddr, TCPAddr: tcpAddr})
+	}
+	reg, err := replica.New(replica.Config{Replicas: specs, Encoding: wire.EncodingBinary})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	front, err := NewDecisionFront(DecisionFrontConfig{Replicas: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer front.Close()
+	fts := httptest.NewServer(front.Handler())
+	defer fts.Close()
+	post := func(path, body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(fts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(b)
+	}
+
+	code, body := post("/v1/put", `{"template":"cassandra","class":0,"bucket":6,"type":"large","count":7}`)
+	if want := fmt.Sprintf(`{"version":1,"entries":%d}`+"\n", repo.Len()+1); code != http.StatusOK || body != want {
+		t.Fatalf("put answered %d %q, want %q", code, body, want)
+	}
+	code, body = post("/v1/get", `{"template":"cassandra","class":0,"bucket":6}`)
+	if want := `{"version":1,"hit":true,"type":"large","count":7}` + "\n"; code != http.StatusOK || body != want {
+		t.Fatalf("get answered %d %q, want %q", code, body, want)
+	}
+	for i, srv := range srvs {
+		if st := srv.StatsSnapshot(); st.PutReqs != 1 || st.Entries != repo.Len()+1 {
+			t.Errorf("replica %s: %d puts, %d entries after the fan-out", specs[i].Name, st.PutReqs, st.Entries)
+		}
+	}
+
+	if code, _ := post("/v1/put", `{"template":"cassandra","class":0,"bucket":0,"type":"petabyte","count":1}`); code != http.StatusBadRequest {
+		t.Errorf("unknown type: %d, want 400", code)
+	}
+	if code, body := post("/v1/put", `{"template":"cassandra","class":999,"bucket":0,"type":"large","count":1}`); code != http.StatusBadRequest || !strings.Contains(body, "out of range") {
+		t.Errorf("replica rejection relayed as %d %q, want the daemon's 400", code, body)
+	}
+	if got := front.Stats().Errors; got != 2 {
+		t.Errorf("front errors = %d, want 2", got)
+	}
+}

@@ -559,28 +559,29 @@ func (r *Registry) clearPin(template string) {
 	r.flip.Unlock()
 }
 
-// PutRaw fans one /v1/put body (forwarded verbatim) to every in-sync
-// replica, so a tuned allocation shared by one controller is visible
-// to lookups routed anywhere. A replica that misses the put over a
-// transport error is marked out of sync and repaired by resync; the
-// put succeeds if any replica took it. An application-level rejection
+// Put fans one put request to every in-sync replica over its decision
+// transport (client.Entry), so a tuned allocation shared by one
+// controller is visible to lookups routed anywhere. A replica that
+// misses the put over a transport error is marked out of sync and
+// repaired by resync; the put succeeds if any replica took it, and e
+// carries the first success's reply. An application-level rejection
 // is authoritative (the replicas share content — the first replica to
-// parse the body rejects it before any state changed).
-func (r *Registry) PutRaw(body []byte) ([]byte, error) {
+// parse the request rejects it before any state changed).
+func (r *Registry) Put(e *wire.Entry) error {
 	r.stateMu.RLock()
 	defer r.stateMu.RUnlock()
-	var okBody []byte
+	var version uint64
+	var entries int
 	var lastErr error
 	ok := 0
 	for _, rep := range *r.all.Load() {
 		if !rep.synced.Load() || rep.draining.Load() {
 			continue
 		}
-		out, err := rep.cl.PostRawJSON("/v1/put", body)
-		if err != nil {
+		if err := rep.cl.Entry(true, e); err != nil {
 			var apiErr *client.APIError
 			if errors.As(err, &apiErr) {
-				return nil, err
+				return err
 			}
 			rep.dirty.Store(true)
 			rep.synced.Store(false)
@@ -589,40 +590,40 @@ func (r *Registry) PutRaw(body []byte) ([]byte, error) {
 			lastErr = err
 			continue
 		}
-		ok++
-		if okBody == nil {
-			okBody = out
+		if ok == 0 {
+			version, entries = e.Version, e.Entries
 		}
+		ok++
 	}
 	if ok == 0 {
 		if lastErr == nil {
-			return nil, errors.New("replica: no replicas available for put")
+			return errors.New("replica: no replicas available for put")
 		}
-		return nil, fmt.Errorf("replica: put failed on every replica: %w", lastErr)
+		return fmt.Errorf("replica: put failed on every replica: %w", lastErr)
 	}
-	return okBody, nil
+	e.Version, e.Entries = version, entries
+	return nil
 }
 
-// GetRaw routes one /v1/get body to a healthy replica with the same
-// failover shape as Decide.
-func (r *Registry) GetRaw(body []byte) ([]byte, error) {
-	out, err := r.forEachRoutable(func(rep *replica) ([]byte, error) {
-		return rep.cl.PostRawJSON("/v1/get", body)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("replica: get: %w", err)
+// Get routes one get request to a healthy replica with the same
+// failover shape as Decide, decoding the reply into e.
+func (r *Registry) Get(e *wire.Entry) error {
+	if err := r.forEachRoutable(func(rep *replica) error {
+		return rep.cl.Entry(false, e)
+	}); err != nil {
+		return fmt.Errorf("replica: get: %w", err)
 	}
-	return out, nil
+	return nil
 }
 
 // forEachRoutable tries fn over the replicas in failover order (live
-// and in-sync first, then stale-but-synced), returning the first
+// and in-sync first, then stale-but-synced), stopping at the first
 // success. Application errors abort immediately.
-func (r *Registry) forEachRoutable(fn func(*replica) ([]byte, error)) ([]byte, error) {
+func (r *Registry) forEachRoutable(fn func(*replica) error) error {
 	all := *r.all.Load()
 	n := len(all)
 	if n == 0 {
-		return nil, errors.New("no replicas")
+		return errors.New("no replicas")
 	}
 	start := int(r.rr.Add(1) - 1)
 	var lastErr error
@@ -635,13 +636,13 @@ func (r *Registry) forEachRoutable(fn func(*replica) ([]byte, error)) ([]byte, e
 			if pass == 0 && !rep.alive.Load() {
 				continue
 			}
-			out, err := fn(rep)
+			err := fn(rep)
 			if err == nil {
-				return out, nil
+				return nil
 			}
 			var apiErr *client.APIError
 			if errors.As(err, &apiErr) {
-				return nil, err
+				return err
 			}
 			rep.alive.Store(false)
 			lastErr = err
@@ -650,7 +651,7 @@ func (r *Registry) forEachRoutable(fn func(*replica) ([]byte, error)) ([]byte, e
 	if lastErr == nil {
 		lastErr = errors.New("no routable replicas")
 	}
-	return nil, lastErr
+	return lastErr
 }
 
 // Stats aggregates one template's serving statistics across the
@@ -705,10 +706,10 @@ func (r *Registry) Stats(template string) (client.Stats, error) {
 // answers.
 func (r *Registry) Templates() ([]client.TemplateInfo, error) {
 	var infos []client.TemplateInfo
-	_, err := r.forEachRoutable(func(rep *replica) ([]byte, error) {
+	err := r.forEachRoutable(func(rep *replica) error {
 		var ierr error
 		infos, ierr = rep.cl.Templates()
-		return nil, ierr
+		return ierr
 	})
 	if err != nil {
 		return nil, fmt.Errorf("replica: templates: %w", err)

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/cloud"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/server"
@@ -381,19 +382,24 @@ func TestPutFansOut(t *testing.T) {
 	if _, err := reg.InstallSerialized("svc", buildRepoBytes(t, 23)); err != nil {
 		t.Fatal(err)
 	}
-	body := []byte(`{"template":"svc","class":0,"bucket":0,"type":"small","count":3}`)
-	if _, err := reg.PutRaw(body); err != nil {
+	var put wire.Entry
+	put.SetTemplate("svc")
+	put.Type, put.Count = cloud.SmallID, 3
+	if err := reg.Put(&put); err != nil {
 		t.Fatal(err)
 	}
-	get := []byte(`{"template":"svc","class":0,"bucket":0}`)
+	if put.Version != 1 || put.Entries == 0 {
+		t.Errorf("put reply version %d entries %d, want version 1 and a non-empty repository", put.Version, put.Entries)
+	}
 	for _, m := range []*member{a, b} {
 		cl := memberClient(t, m)
-		out, err := cl.PostRawJSON("/v1/get", get)
-		if err != nil {
+		var get wire.Entry
+		get.SetTemplate("svc")
+		if err := cl.Entry(false, &get); err != nil {
 			t.Fatalf("get on %s: %v", m.name, err)
 		}
-		if !strings.Contains(string(out), `"hit":true`) {
-			t.Errorf("replica %s missed the fanned-out put: %s", m.name, out)
+		if !get.Hit || get.Type != cloud.SmallID || get.Count != 3 {
+			t.Errorf("replica %s missed the fanned-out put: %+v", m.name, get)
 		}
 	}
 }

@@ -170,11 +170,12 @@ func (ts *templateSet) resolve(name []byte) (*template, error) {
 
 // scratch is the pooled per-request state of the decision path.
 type scratch struct {
-	body []byte
-	req  wire.Request
-	resp wire.Response
-	out  []byte
-	sig  core.Signature
+	body  []byte
+	req   wire.Request
+	resp  wire.Response
+	entry wire.Entry
+	out   []byte
+	sig   core.Signature
 }
 
 // Server implements the decision service over swap-safe repository
@@ -253,8 +254,8 @@ func New(cfg Config) (*Server, error) {
 		s.lookupReqs.Add(1)
 		s.handleDecision(w, r, true)
 	}))
-	s.mux.HandleFunc("/v1/put", s.methodGuard(http.MethodPost, s.handlePut))
-	s.mux.HandleFunc("/v1/get", s.methodGuard(http.MethodPost, s.handleGet))
+	s.mux.HandleFunc("/v1/put", s.methodGuard(http.MethodPost, s.handleEntry(true)))
+	s.mux.HandleFunc("/v1/get", s.methodGuard(http.MethodPost, s.handleEntry(false)))
 	s.mux.HandleFunc("/v1/install", s.methodGuard(http.MethodPost, s.handleInstall))
 	s.mux.HandleFunc("/v1/stats", s.methodGuard(http.MethodGet, s.handleStats))
 	s.mux.HandleFunc("/v1/templates", s.methodGuard(http.MethodGet, s.handleTemplates))
@@ -395,9 +396,9 @@ func (s *Server) handleDecision(w http.ResponseWriter, r *http.Request, lookup b
 // decisionOp names a decision for span/metric purposes.
 func decisionOp(lookup bool) string {
 	if lookup {
-		return "lookup"
+		return opLookup
 	}
-	return "classify"
+	return opClassify
 }
 
 // decide parses sc.body, routes it to a template, and serves one
@@ -522,72 +523,68 @@ func (s *Server) resolveTemplateName(name string) (*template, error) {
 	return s.templates.Load().resolve([]byte(name))
 }
 
-// putRequest is the /v1/put body.
-type putRequest struct {
-	Template string `json:"template"`
-	Class    int    `json:"class"`
-	Bucket   int    `json:"bucket"`
-	Type     string `json:"type"`
-	Count    int    `json:"count"`
+// maxEntryBody bounds a /v1/get or /v1/put request body.
+const maxEntryBody = 1 << 16
+
+// handleEntry is the HTTP adapter for /v1/get and /v1/put: the JSON
+// request body in, entry() in the middle, the JSON reply out.
+func (s *Server) handleEntry(put bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		sc := s.pool.Get().(*scratch)
+		defer s.pool.Put(sc)
+		var err error
+		var out []byte
+		if sc.body, err = readBody(r, sc.body, maxEntryBody); err == nil {
+			out, err = s.entry(wire.EncodingJSON, sc, put)
+		}
+		if err != nil {
+			s.badRequest(w, err)
+			return
+		}
+		w.Header().Set("Content-Type", wire.ContentTypeJSON)
+		_, _ = w.Write(out)
+	}
 }
 
-// handlePut stores a tuned allocation — the client side of the DejaVu
-// protocol's miss path (tune, then share the result).
-func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
-	s.putReqs.Add(1)
-	var req putRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil {
-		s.badRequest(w, fmt.Errorf("server: decode put: %w", err))
-		return
+// entry serves one get or put request decoded from sc.body — the one
+// implementation behind /v1/get, /v1/put and the TCP plane's
+// StreamFlagGet/StreamFlagPut envelopes. A get fetches the cached
+// allocation by (class, bucket) without classification (the
+// controller's interference path); a put stores a tuned allocation
+// (the miss path's "tune, then share"). The reply is encoded in the
+// request's encoding into sc.out. Get/put stay out of the decide
+// latency histograms, which time lookups and classifies only. A warmed
+// scratch serves a get, or a put over an existing slot, without
+// allocating.
+func (s *Server) entry(enc wire.Encoding, sc *scratch, put bool) ([]byte, error) {
+	op := "get"
+	if put {
+		op = "put"
+		s.putReqs.Add(1)
+	} else {
+		s.getReqs.Add(1)
 	}
-	tpl, err := s.resolveTemplateName(req.Template)
-	if err != nil {
-		s.badRequest(w, err)
-		return
+	e := &sc.entry
+	if err := e.DecodeRequest(enc, put, sc.body); err != nil {
+		return nil, fmt.Errorf("server: decode %s: %w", op, err)
 	}
-	typ, err := cloud.TypeByName(req.Type)
+	tpl, err := s.templates.Load().resolve(e.Template)
 	if err != nil {
-		s.badRequest(w, err)
-		return
+		return nil, err
 	}
 	cur := tpl.handle.Current()
-	if err := cur.Repo.Put(req.Class, req.Bucket, cloud.Allocation{Type: typ, Count: req.Count}); err != nil {
-		s.badRequest(w, err)
-		return
+	if put {
+		if err := cur.Repo.Put(e.Class, e.Bucket, cloud.Allocation{Type: e.Type.Instance(), Count: e.Count}); err != nil {
+			return nil, err
+		}
+		e.Entries = cur.Repo.Len()
+	} else {
+		alloc, ok := cur.Repo.Get(e.Class, e.Bucket)
+		e.Hit, e.Type, e.Count = ok, alloc.Type.ID(), alloc.Count
 	}
-	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintf(w, `{"version":%d,"entries":%d}`+"\n", cur.Version, cur.Repo.Len())
-}
-
-// getRequest is the /v1/get body: fetch a cached allocation by
-// (class, bucket) without classification — the controller's
-// interference path.
-type getRequest struct {
-	Template string `json:"template"`
-	Class    int    `json:"class"`
-	Bucket   int    `json:"bucket"`
-}
-
-func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	s.getReqs.Add(1)
-	var req getRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<16)).Decode(&req); err != nil {
-		s.badRequest(w, fmt.Errorf("server: decode get: %w", err))
-		return
-	}
-	tpl, err := s.resolveTemplateName(req.Template)
-	if err != nil {
-		s.badRequest(w, err)
-		return
-	}
-	cur := tpl.handle.Current()
-	alloc, ok := cur.Repo.Get(req.Class, req.Bucket)
-	w.Header().Set("Content-Type", "application/json")
-	if !ok {
-		fmt.Fprintf(w, `{"version":%d,"hit":false}`+"\n", cur.Version)
-		return
-	}
-	fmt.Fprintf(w, `{"version":%d,"hit":true,"type":%q,"count":%d}`+"\n", cur.Version, alloc.Type.Name, alloc.Count)
+	e.Version = cur.Version
+	sc.out = e.AppendReply(enc, put, sc.out[:0])
+	return sc.out, nil
 }
 
 // handleInstall publishes a repository for ?template=NAME from a

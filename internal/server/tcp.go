@@ -13,12 +13,13 @@ import (
 )
 
 // Raw-TCP decision plane. HTTP remains the admin/compat plane
-// (install, stats, snapshot, metrics); this listener serves only the
-// hot path — classify and lookup — as wire envelopes over persistent
-// connections, through the same pooled-scratch decide() the HTTP
-// adapter uses. Per connection: one hello exchange negotiating the
-// payload encoding, then a sequence of request envelopes answered in
-// order (clients match responses by id, so they may pipeline).
+// (install, stats, snapshot, metrics); this listener serves every
+// core.DecisionSource call — classify, lookup, get and put — as wire
+// envelopes over persistent connections, through the same
+// pooled-scratch decide() and entry() the HTTP adapters use. Per
+// connection: one hello exchange negotiating the payload encoding,
+// then a sequence of request envelopes answered in order (clients
+// match responses by id, so they may pipeline).
 // Request errors are answered with error envelopes and the
 // connection stays up; only framing-level corruption closes it.
 
@@ -259,15 +260,16 @@ func (t *TCPServer) serveConn(nc net.Conn) {
 			}
 			continue
 		}
-		lookup := flags&wire.StreamFlagLookup != 0
-		if lookup {
+		op := envelopeOp(flags)
+		switch op {
+		case opLookup:
 			t.s.lookupReqs.Add(1)
-		} else {
+		case opClassify:
 			t.s.classifyReqs.Add(1)
 		}
 		// A trace-flagged envelope prefixes the frame with a 16-byte
 		// trace context; strip it and record this hop's span around
-		// decide(). Untraced envelopes skip all of it.
+		// the operation. Untraced envelopes skip all of it.
 		var parent, child obs.TraceContext
 		var spanStart time.Time
 		if flags&wire.StreamFlagTrace != 0 {
@@ -283,12 +285,20 @@ func (t *TCPServer) serveConn(nc net.Conn) {
 			payload = payload[obs.WireContextLen:]
 			spanStart = time.Now()
 		}
-		// The payload aliases the Stream's read scratch; decide()
-		// consumes it before the next ReadEnvelope overwrites it.
+		// The payload aliases the Stream's read scratch; decide() and
+		// entry() consume it before the next ReadEnvelope overwrites it.
 		sc.body = payload
-		out, err := t.s.decide(enc, sc, lookup, transportTCP)
+		var out []byte
+		switch op {
+		case opGet, opPut:
+			out, err = t.s.entry(enc, sc, op == opPut)
+		case opLookup, opClassify:
+			out, err = t.s.decide(enc, sc, op == opLookup, transportTCP)
+		default:
+			err = errGetPutFlags
+		}
 		if child.Valid() {
-			t.s.spans.RecordHop(parent, child, "dejavud", decisionOp(lookup), spanStart, time.Since(spanStart))
+			t.s.spans.RecordHop(parent, child, "dejavud", op, spanStart, time.Since(spanStart))
 		}
 		if err != nil {
 			t.s.badRequests.Add(1)
@@ -301,6 +311,35 @@ func (t *TCPServer) serveConn(nc net.Conn) {
 			return
 		}
 	}
+}
+
+// Envelope operations, named as they appear in spans.
+const (
+	opClassify = "classify"
+	opLookup   = "lookup"
+	opGet      = "get"
+	opPut      = "put"
+)
+
+// errGetPutFlags rejects an envelope flagged both get and put.
+var errGetPutFlags = errors.New("server: envelope flags both get and put")
+
+// envelopeOp names a request envelope's operation from its flags; ""
+// marks the invalid get+put combination. Get and put override the
+// lookup bit.
+func envelopeOp(flags byte) string {
+	switch flags & (wire.StreamFlagGet | wire.StreamFlagPut) {
+	case wire.StreamFlagGet:
+		return opGet
+	case wire.StreamFlagPut:
+		return opPut
+	case 0:
+		if flags&wire.StreamFlagLookup != 0 {
+			return opLookup
+		}
+		return opClassify
+	}
+	return ""
 }
 
 // appendErrString renders err into reusable scratch for an error

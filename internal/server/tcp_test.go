@@ -1,11 +1,14 @@
 package server
 
 import (
+	"fmt"
 	"net"
+	"net/http"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/cloud"
 	"repro/internal/wire"
 )
 
@@ -302,5 +305,159 @@ func TestTCPDecideZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, roundTrip); allocs != 0 {
 		t.Errorf("TCP decide round trip allocates %.1f times, want 0", allocs)
+	}
+}
+
+// entryTCP sends one get or put envelope built from e and returns the
+// reply's flags and payload (a copy: the stream reuses its scratch).
+func entryTCP(t testing.TB, st *wire.Stream, enc wire.Encoding, id uint32, flags byte, e *wire.Entry) (byte, []byte) {
+	t.Helper()
+	if err := st.WriteEnvelope(id, flags, e.AppendRequest(enc, flags&wire.StreamFlagPut != 0, nil)); err != nil {
+		t.Fatal(err)
+	}
+	gotID, gotFlags, payload, err := st.ReadEnvelope(1 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotID != id {
+		t.Fatalf("response id %d, want %d", gotID, id)
+	}
+	return gotFlags, append([]byte(nil), payload...)
+}
+
+// TestTCPGetPut pins the repository get/put operations on the TCP
+// plane in both encodings: a put lands in the repository, a get by
+// (class, bucket) reads it back, the JSON reply is byte-identical to
+// the HTTP endpoint's, errors are answered with error envelopes on a
+// connection that stays up, and get/put count in their own request
+// counters, never in the decide-latency histograms.
+func TestTCPGetPut(t *testing.T) {
+	repo := testRepository(t, 1)
+	s, ts := newTestServer(t, repo, Config{})
+	_, addr := startTCP(t, s, TCPConfig{})
+	tpl := s.templates.Load().def
+
+	for i, enc := range []wire.Encoding{wire.EncodingBinary, wire.EncodingJSON} {
+		_, st := dialStream(t, addr, enc)
+		bucket := 5 + i
+		var e wire.Entry
+		e.Class, e.Bucket, e.Type, e.Count = 0, bucket, cloud.LargeID, 3
+		flags, payload := entryTCP(t, st, enc, 1, wire.StreamFlagPut, &e)
+		if flags&wire.StreamFlagError != 0 {
+			t.Fatalf("enc %v: put rejected: %s", enc, payload)
+		}
+		if err := e.DecodeReply(enc, true, payload); err != nil {
+			t.Fatal(err)
+		}
+		if e.Version != 1 || e.Entries != repo.Len() {
+			t.Errorf("enc %v: put reply %+v, want version 1 and %d entries", enc, e, repo.Len())
+		}
+		if a, ok := repo.Get(0, bucket); !ok || a.Type != cloud.Large || a.Count != 3 {
+			t.Fatalf("enc %v: repository holds %+v/%v after the put", enc, a, ok)
+		}
+
+		// The lookup bit does not turn a get into a decision.
+		e.Reset()
+		e.Bucket = bucket
+		flags, payload = entryTCP(t, st, enc, 2, wire.StreamFlagGet|wire.StreamFlagLookup, &e)
+		if flags&wire.StreamFlagError != 0 {
+			t.Fatalf("enc %v: get rejected: %s", enc, payload)
+		}
+		if err := e.DecodeReply(enc, false, payload); err != nil {
+			t.Fatal(err)
+		}
+		if !e.Hit || e.Type != cloud.LargeID || e.Count != 3 || e.Version != 1 {
+			t.Errorf("enc %v: get reply %+v, want the stored large×3", enc, e)
+		}
+		if enc == wire.EncodingJSON {
+			code, body := post(t, ts.URL+"/v1/get", fmt.Sprintf(`{"class":0,"bucket":%d}`, bucket))
+			if code != http.StatusOK || body != string(payload) {
+				t.Errorf("HTTP /v1/get answered %d %q, TCP %q", code, body, payload)
+			}
+		}
+
+		e.Reset()
+		e.Bucket = 17
+		_, payload = entryTCP(t, st, enc, 3, wire.StreamFlagGet, &e)
+		if err := e.DecodeReply(enc, false, payload); err != nil || e.Hit {
+			t.Errorf("enc %v: get of an empty slot: %+v, %v", enc, e, err)
+		}
+
+		// Rejections: a class the repository does not have, and an
+		// envelope flagged both get and put.
+		e.Reset()
+		e.Class, e.Type, e.Count = 999, cloud.LargeID, 1
+		if flags, payload = entryTCP(t, st, enc, 4, wire.StreamFlagPut, &e); flags&wire.StreamFlagError == 0 {
+			t.Errorf("enc %v: out-of-range put answered %q, want an error envelope", enc, payload)
+		}
+		if flags, payload = entryTCP(t, st, enc, 5, wire.StreamFlagGet|wire.StreamFlagPut, &e); flags&wire.StreamFlagError == 0 {
+			t.Errorf("enc %v: get+put envelope answered %q, want an error envelope", enc, payload)
+		}
+		e.Reset()
+		e.Bucket = bucket
+		if flags, _ = entryTCP(t, st, enc, 6, wire.StreamFlagGet, &e); flags&wire.StreamFlagError != 0 {
+			t.Errorf("enc %v: connection unusable after a rejected request", enc)
+		}
+	}
+	st := s.StatsSnapshot()
+	if st.PutReqs != 4 || st.GetReqs != 7 || st.BadRequests != 4 {
+		t.Errorf("counters put=%d get=%d bad=%d, want 4, 7, 4", st.PutReqs, st.GetReqs, st.BadRequests)
+	}
+	if n := tpl.lat[transportTCP].Snapshot().Count; n != 0 {
+		t.Errorf("TCP decide histogram recorded %d get/put requests, want 0", n)
+	}
+}
+
+// TestTCPEntryZeroAlloc pins the TCP get/put branch of serveConn at
+// zero allocations: a warmed binary put over an existing slot and a
+// get, each a full envelope round trip. AllocsPerRun counts every
+// goroutine, so the server's connection goroutine is inside the
+// measurement.
+func TestTCPEntryZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	repo := testRepository(t, 1)
+	s, _ := newTestServer(t, repo, Config{})
+	_, addr := startTCP(t, s, TCPConfig{})
+	_, st := dialStream(t, addr, wire.EncodingBinary)
+
+	var e wire.Entry
+	var frame []byte
+	var id uint32
+	roundTrip := func(put bool) {
+		id++
+		flags := byte(wire.StreamFlagGet)
+		if put {
+			flags = wire.StreamFlagPut
+		}
+		e.Reset()
+		e.Class, e.Bucket, e.Type, e.Count = 0, 4, cloud.LargeID, 2
+		frame = e.AppendRequest(wire.EncodingBinary, put, frame[:0])
+		if err := st.WriteEnvelope(id, flags, frame); err != nil {
+			t.Fatal(err)
+		}
+		gotID, gotFlags, payload, err := st.ReadEnvelope(1 << 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotID != id || gotFlags&wire.StreamFlagError != 0 {
+			t.Fatalf("id=%d flags=%d payload %q", gotID, gotFlags, payload)
+		}
+		if err := e.DecodeReply(wire.EncodingBinary, put, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		roundTrip(true)
+		roundTrip(false)
+	}
+	if !e.Hit {
+		t.Fatal("get missed the stored slot")
+	}
+	for _, put := range []bool{true, false} {
+		if allocs := testing.AllocsPerRun(200, func() { roundTrip(put) }); allocs != 0 {
+			t.Errorf("TCP put=%v round trip allocates %.1f times, want 0", put, allocs)
+		}
 	}
 }

@@ -32,10 +32,21 @@ import (
 // replies even if a future server answers them out of order (the
 // current server answers in request order; clients MUST match by id,
 // not by position). elen is little-endian and counts every byte
-// after itself (id + flags + payload). On request envelopes flag
-// bit0 distinguishes lookup (set) from classify (clear); on response
-// envelopes flag bit0 set marks an error reply whose payload is a
-// UTF-8 message instead of a wire frame.
+// after itself (id + flags + payload). The request flags name the
+// operation and its payload:
+//
+//	flags        payload
+//	0            classify request frame
+//	Lookup       lookup request frame
+//	Get          get request frame (see Entry)
+//	Put          put request frame (see Entry)
+//	Ping         empty; answered with an empty Ping envelope
+//	… | Trace    16-byte trace context ++ the payload above
+//
+// Get and Put override the Lookup bit and exclude each other. On
+// response envelopes flag bit0 set marks an error reply whose payload
+// is a UTF-8 message instead of a wire frame; otherwise the payload is
+// the reply frame of the request's operation.
 //
 // A Stream owns one connection's read/write buffers: envelope reads
 // land in a reusable payload scratch, envelope writes are assembled
@@ -74,6 +85,14 @@ const (
 	// untraced envelope. Valid on request envelopes only; a response
 	// never carries the bit.
 	StreamFlagTrace = 0x04
+	// StreamFlagGet marks a request envelope as a repository get by
+	// (class, bucket): the payload is an Entry get request and the
+	// reply an Entry get reply, in the connection's encoding.
+	StreamFlagGet = 0x08
+	// StreamFlagPut marks a request envelope as a repository put: the
+	// payload is an Entry put request and the reply an Entry put
+	// reply.
+	StreamFlagPut = 0x10
 
 	// helloLen is the wire size of either hello.
 	helloLen = 6
