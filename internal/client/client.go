@@ -18,11 +18,6 @@
 // envelopes on the raw-TCP plane, or the hand-rolled JSON bodies of
 // /v1/get and /v1/put over HTTP (see Entry). Admin calls (install,
 // stats, templates, dump, snapshot) use encoding/json over HTTP.
-//
-// Optional batch coalescing merges concurrent single-signature
-// lookups into batched wire requests per (template, bucket), trading
-// a bounded queueing delay for fewer round trips — the right shape
-// for a fleet of controllers sharing one client.
 package client
 
 import (
@@ -94,9 +89,6 @@ type Config struct {
 	DialTimeout time.Duration
 	// RequestTimeout bounds one round trip (default 30s).
 	RequestTimeout time.Duration
-	// Coalesce enables batch coalescing on template sources created
-	// from this client (zero value disables it).
-	Coalesce CoalesceConfig
 	// TraceEvery samples every Nth Decide with a trace context (0
 	// disables sampling): the sampled request carries a DejaVu-Trace
 	// header (HTTP) or a wire.StreamFlagTrace envelope (TCP), every
@@ -183,11 +175,10 @@ type Client struct {
 
 	// Local instrumentation (obs histograms are atomic-add only, so
 	// the zero-alloc decision path stays zero-alloc with them live).
-	reqLat        obs.Histogram // whole Decide: encode, transport (incl. retries), decode
-	retryWait     obs.Histogram // time spent sleeping in retry backoff
-	coalesceDelay obs.Histogram // first-row-append → flush queueing delay
-	decides       atomic.Int64  // Decide calls, drives TraceEvery sampling
-	spans         *obs.SpanRing // root spans of sampled decisions
+	reqLat    obs.Histogram // whole Decide: encode, transport (incl. retries), decode
+	retryWait obs.Histogram // time spent sleeping in retry backoff
+	decides   atomic.Int64  // Decide calls, drives TraceEvery sampling
+	spans     *obs.SpanRing // root spans of sampled decisions
 }
 
 // APIError is a non-2xx response from the daemon.
@@ -260,19 +251,15 @@ type LocalStats struct {
 	Request obs.Summary `json:"request"`
 	// RetryWait digests time spent sleeping in retry backoff.
 	RetryWait obs.Summary `json:"retry_wait"`
-	// CoalesceDelay digests the queueing delay coalesced lookups spent
-	// waiting for their batch to flush.
-	CoalesceDelay obs.Summary `json:"coalesce_delay"`
 }
 
 // StatsSnapshot digests the client's local histograms.
 func (c *Client) StatsSnapshot() LocalStats {
 	return LocalStats{
-		Decides:       c.decides.Load(),
-		Retries:       c.retried.Load(),
-		Request:       c.reqLat.Snapshot().Summary(),
-		RetryWait:     c.retryWait.Snapshot().Summary(),
-		CoalesceDelay: c.coalesceDelay.Snapshot().Summary(),
+		Decides:   c.decides.Load(),
+		Retries:   c.retried.Load(),
+		Request:   c.reqLat.Snapshot().Summary(),
+		RetryWait: c.retryWait.Snapshot().Summary(),
 	}
 }
 

@@ -310,73 +310,3 @@ func copyConn(dst, src net.Conn) (int64, error) {
 		}
 	}
 }
-
-// TestClientCoalescing pins batch coalescing: concurrent single
-// lookups merge into fewer wire requests, every caller still gets its
-// own correct decision, and buckets never mix.
-func TestClientCoalescing(t *testing.T) {
-	repo := learnRepo(t, 67)
-	addr, srv := startDaemon(t, map[string]*core.Repository{"cassandra": repo}, server.Config{})
-	c, err := New(Config{
-		Addr:     addr,
-		Coalesce: CoalesceConfig{MaxBatch: 8, MaxDelay: 2 * time.Millisecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	src, err := c.Source("cassandra", repo.EventsRef())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Seed a bucket-2 entry so bucket routing is observable.
-	if err := src.Put(0, 2, cloud.Allocation{Type: cloud.Large, Count: 9}); err != nil {
-		t.Fatal(err)
-	}
-
-	vals := foreseen(t, repo, 68, 300)
-	direct0, err := repo.Lookup(&core.Signature{Events: repo.EventsRef(), Values: vals}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const callers = 48
-	var wg sync.WaitGroup
-	errs := make([]error, callers)
-	results := make([]core.LookupResult, callers)
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			bucket := 0
-			if i%2 == 1 {
-				bucket = 2
-			}
-			sig := &core.Signature{Events: repo.EventsRef(), Values: vals}
-			results[i], errs[i] = src.Lookup(sig, bucket)
-		}(i)
-	}
-	wg.Wait()
-	for i := 0; i < callers; i++ {
-		if errs[i] != nil {
-			t.Fatalf("caller %d: %v", i, errs[i])
-		}
-		if i%2 == 0 {
-			if results[i] != direct0 {
-				t.Fatalf("caller %d (bucket 0): %+v != %+v", i, results[i], direct0)
-			}
-		} else if !results[i].Hit || results[i].Allocation.Count != 9 {
-			t.Fatalf("caller %d (bucket 2): %+v", i, results[i])
-		}
-	}
-
-	// Coalescing must have merged callers into far fewer requests.
-	st := srv.StatsSnapshot()
-	if st.LookupReqs >= callers {
-		t.Errorf("coalescing sent %d wire requests for %d lookups", st.LookupReqs, callers)
-	}
-	if st.Decisions != callers { // the comparison lookup was in-process
-		t.Errorf("decisions %d, want %d", st.Decisions, callers)
-	}
-}

@@ -3,7 +3,6 @@ package client
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/server"
@@ -12,8 +11,8 @@ import (
 
 // TestClientStatsSnapshot pins the client's local instrumentation:
 // every Decide lands in the request-latency histogram, TraceEvery
-// samples root spans at the configured rate, and coalesced lookups
-// record their batch queueing delay — all surfaced through
+// samples root spans at the configured rate, and concurrent source
+// lookups count as one Decide each — all surfaced through
 // StatsSnapshot without touching the daemon.
 func TestClientStatsSnapshot(t *testing.T) {
 	repo := learnRepo(t, 61)
@@ -24,7 +23,6 @@ func TestClientStatsSnapshot(t *testing.T) {
 		Addr:       addr,
 		Encoding:   wire.EncodingBinary,
 		TraceEvery: 2,
-		Coalesce:   CoalesceConfig{MaxBatch: 4, MaxDelay: 5 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +44,7 @@ func TestClientStatsSnapshot(t *testing.T) {
 		t.Errorf("sampled %d root spans over %d decides at TraceEvery=2", got, direct)
 	}
 
-	// Four concurrent lookups fill one MaxBatch=4 coalesced flush.
+	// Four concurrent lookups, one wire request each.
 	src, err := c.Source("cassandra", repo.EventsRef())
 	if err != nil {
 		t.Fatal(err)
@@ -65,17 +63,14 @@ func TestClientStatsSnapshot(t *testing.T) {
 	wg.Wait()
 
 	st := c.StatsSnapshot()
-	if st.Decides < direct+1 {
-		t.Errorf("decides %d, want at least %d", st.Decides, direct+1)
+	if st.Decides != direct+4 {
+		t.Errorf("decides %d, want %d", st.Decides, direct+4)
 	}
 	if st.Request.Count != st.Decides {
 		t.Errorf("request digest count %d for %d decides", st.Request.Count, st.Decides)
 	}
 	if st.Request.MeanUS <= 0 || st.Request.P99US < st.Request.P50US {
 		t.Errorf("request digest: %+v", st.Request)
-	}
-	if st.CoalesceDelay.Count < 1 {
-		t.Errorf("coalesce delay recorded %d batches, want at least 1", st.CoalesceDelay.Count)
 	}
 	if st.Retries != 0 || st.RetryWait.Count != 0 {
 		t.Errorf("unexpected retries: %+v", st)

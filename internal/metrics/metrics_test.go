@@ -232,12 +232,3 @@ func TestSampleN(t *testing.T) {
 		t.Error("n=0 should error")
 	}
 }
-
-func TestStaticSourceReturnsCopy(t *testing.T) {
-	src := StaticSource{EvFlopsRate: 1}
-	r := src.Rates()
-	r[EvFlopsRate] = 99
-	if src[EvFlopsRate] != 1 {
-		t.Error("Rates must return a copy")
-	}
-}

@@ -9,32 +9,27 @@ import (
 )
 
 // Source is anything that exposes true underlying event rates — in this
-// repository the service simulators. Rates returns events per second
-// for every event the source emits; the Monitor turns those into
-// noisy, register-constrained counter readings.
+// repository the service simulators. RatesInto writes one reading, in
+// events per second, into a caller-provided dense Rates vector; the
+// Monitor turns it into noisy, register-constrained counter readings.
+// Events the source does not Set read as 0.
 type Source interface {
-	Rates() map[Event]float64
-}
-
-// VectorSource is the allocation-free fast path of Source: the source
-// writes its reading into a caller-provided dense Rates vector instead
-// of materializing a map. Sources that implement it are read through
-// RatesInto by the Monitor's vector sampling path.
-type VectorSource interface {
-	Source
 	RatesInto(dst *Rates)
 }
 
-// StaticSource is a fixed-rate Source, handy for tests.
+// StaticSource is a fixed-rate Source over catalog events, handy for
+// tests. Events outside the catalog have no dense index and are not
+// reported.
 type StaticSource map[Event]float64
 
-// Rates implements Source.
-func (s StaticSource) Rates() map[Event]float64 {
-	out := make(map[Event]float64, len(s))
-	for k, v := range s {
-		out[k] = v
+// RatesInto implements Source.
+func (s StaticSource) RatesInto(dst *Rates) {
+	dst.Fill()
+	for ev, v := range s {
+		if i := Index(ev); i >= 0 {
+			dst.Set(i, v)
+		}
 	}
-	return out
 }
 
 // Bank models the processor's programmable HPC registers. Only
@@ -103,7 +98,7 @@ type Monitor struct {
 	Rng *rand.Rand
 
 	// Pre-resolved per-event dense indices and HPC flags, plus a
-	// scratch vector for VectorSource readings. Built lazily so
+	// scratch vector for source readings. Built lazily so
 	// hand-assembled Monitor literals keep working; rebuilt when the
 	// Events slice is replaced (identity check — mutating the slice
 	// contents in place is not supported).
@@ -166,13 +161,10 @@ func (m *Monitor) Sample(src Source, window time.Duration) (*Sample, error) {
 	return &Sample{Values: out, Window: window}, nil
 }
 
-// SampleVector is the allocation-free fast path of Sample: it writes
-// the normalized per-second values into dst, aligned with m.Events
-// (dst must have the same length). The noise model, RNG consumption
-// order, and arithmetic are identical to Sample, so at a fixed seed
-// the two paths produce bit-identical readings. Sources implementing
-// VectorSource are read through a reusable dense Rates scratch and the
-// whole call performs no heap allocation.
+// SampleVector is the allocation-free form of Sample: it writes the
+// normalized per-second values into dst, aligned with m.Events (dst
+// must have the same length). The source is read through a reusable
+// dense Rates scratch and the whole call performs no heap allocation.
 func (m *Monitor) SampleVector(src Source, window time.Duration, dst []float64) error {
 	if window <= 0 {
 		return fmt.Errorf("metrics: non-positive sampling window %v", window)
@@ -194,20 +186,10 @@ func (m *Monitor) SampleVector(src Source, window time.Duration, dst []float64) 
 		muxNoise = bank.MultiplexNoise * (mux - 1)
 	}
 
-	// Prefer the dense vector reading; fall back to the legacy map for
-	// sources that only implement Rates (including sources emitting
-	// events outside the catalog, which have no dense index).
-	var vec *Rates
-	var rates map[Event]float64
-	if vs, ok := src.(VectorSource); ok {
-		if m.scratch == nil {
-			m.scratch = NewRates()
-		}
-		vs.RatesInto(m.scratch)
-		vec = m.scratch
-	} else {
-		rates = src.Rates()
+	if m.scratch == nil {
+		m.scratch = NewRates()
 	}
+	src.RatesInto(m.scratch)
 
 	// Noise shrinks with longer windows (more samples average out):
 	// scale by 1/sqrt(window seconds), floored at 1s.
@@ -218,12 +200,8 @@ func (m *Monitor) SampleVector(src Source, window time.Duration, dst []float64) 
 	sqrtSecs := math.Sqrt(secs)
 	for i := range m.Events {
 		var rate float64
-		if vec != nil {
-			if idx := m.evIdx[i]; idx >= 0 {
-				rate = vec.At(idx)
-			}
-		} else {
-			rate = rates[m.Events[i]]
+		if idx := m.evIdx[i]; idx >= 0 {
+			rate = m.scratch.At(idx)
 		}
 		noise := m.BaseNoise
 		if m.evHPC[i] {

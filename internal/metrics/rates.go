@@ -1,22 +1,20 @@
 package metrics
 
 // Rates is a dense per-second event-rate vector indexed by the dense
-// event index (see Index). It is the allocation-free counterpart of
-// map[Event]float64: a source fills one Rates value per reading and the
-// Monitor reads it back by pre-resolved indices, so the steady-state
-// hot path touches no maps and allocates nothing.
+// event index (see Index): a source fills one Rates value per reading
+// and the Monitor reads it back by pre-resolved indices, so the
+// steady-state hot path touches no maps and allocates nothing.
 //
 // The generation counter distinguishes "filled this reading" from
 // stale leftovers: Fill bumps the generation instead of zeroing the
 // vector, so refilling costs O(1) plus the writes the source actually
-// performs. Today's service sources start every reading with SetAll
-// (which marks everything current), so the per-entry marks look
-// redundant — they stay because they are what makes a PARTIAL reading
-// (Fill + a few Sets, the map-semantics "missing reads 0") correct
-// rather than silently serving the previous reading's values, and the
-// extra mark writes sit on the per-profile-round path (~1/60 of
-// simulation steps), not the per-step one. A Rates value is owned by
-// a single goroutine.
+// performs. The service sources start every reading with SetAll
+// (which marks everything current); a PARTIAL reading (Fill + a few
+// Sets, as StaticSource does) relies on the per-entry marks so unset
+// events read 0 rather than the previous reading's values. The extra
+// mark writes sit on the per-profile-round path (~1/60 of simulation
+// steps), not the per-step one. A Rates value is owned by a single
+// goroutine.
 type Rates struct {
 	values []float64
 	filled []uint32
@@ -72,15 +70,4 @@ func (r *Rates) SetAll(src []float64) {
 	for i := range r.filled {
 		r.filled[i] = r.gen
 	}
-}
-
-// ToMap converts the current reading to the legacy map representation;
-// entries not Set since the last Fill are included as 0 so the map
-// covers the full event universe like the map-based sources do.
-func (r *Rates) ToMap() map[Event]float64 {
-	out := make(map[Event]float64, len(r.values))
-	for i := range r.values {
-		out[EventAt(i)] = r.At(i)
-	}
-	return out
 }

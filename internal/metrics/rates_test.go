@@ -70,38 +70,30 @@ func TestRatesGenerations(t *testing.T) {
 	}
 }
 
-// TestRatesSetAllToMap: SetAll marks every entry current and ToMap
-// mirrors the dense reading.
-func TestRatesSetAllToMap(t *testing.T) {
+// TestRatesSetAll: SetAll marks every entry current.
+func TestRatesSetAll(t *testing.T) {
 	r := NewRates()
+	r.Fill()
+	r.Set(3, 42)
 	src := make([]float64, NumEvents())
 	for i := range src {
 		src[i] = float64(i) * 1.5
 	}
 	r.SetAll(src)
-	m := r.ToMap()
-	if len(m) != NumEvents() {
-		t.Fatalf("ToMap has %d entries, want %d", len(m), NumEvents())
-	}
 	for i := range src {
 		if got := r.At(i); got != src[i] {
 			t.Fatalf("At(%d) = %v, want %v", i, got, src[i])
 		}
-		if got := m[EventAt(i)]; got != src[i] {
-			t.Fatalf("ToMap[%s] = %v, want %v", EventAt(i), got, src[i])
-		}
 	}
 }
 
-// vecSource adapts a Rates snapshot to VectorSource for monitor tests.
+// vecSource serves a fixed Rates snapshot to monitor tests.
 type vecSource struct{ rates *Rates }
 
-func (v vecSource) Rates() map[Event]float64 { return v.rates.ToMap() }
-func (v vecSource) RatesInto(dst *Rates)     { dst.SetAll(v.rates.values) }
+func (v vecSource) RatesInto(dst *Rates) { dst.SetAll(v.rates.values) }
 
-// TestSampleVectorMatchesSample: at a fixed seed the vector path and
-// the legacy map path must produce bit-identical readings, for both
-// map-only and vector sources.
+// TestSampleVectorMatchesSample: at a fixed seed Sample's map and
+// SampleVector's dense output carry bit-identical readings.
 func TestSampleVectorMatchesSample(t *testing.T) {
 	src := vecSource{rates: NewRates()}
 	src.rates.Fill()
@@ -110,7 +102,7 @@ func TestSampleVectorMatchesSample(t *testing.T) {
 	}
 	events := AllEvents()[:10]
 
-	legacy, err := NewMonitor(events, rand.New(rand.NewSource(5)))
+	viaMap, err := NewMonitor(events, rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +110,7 @@ func TestSampleVectorMatchesSample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := legacy.Sample(src, 10*time.Second)
+	s, err := viaMap.Sample(src, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,23 +121,6 @@ func TestSampleVectorMatchesSample(t *testing.T) {
 	for i, ev := range events {
 		if dst[i] != s.Values[ev] {
 			t.Fatalf("event %s: vector %v != map %v", ev, dst[i], s.Values[ev])
-		}
-	}
-
-	// A map-only source must take the fallback path and still match.
-	mapOnly := StaticSource(src.rates.ToMap())
-	legacy2, _ := NewMonitor(events, rand.New(rand.NewSource(9)))
-	fast2, _ := NewMonitor(events, rand.New(rand.NewSource(9)))
-	s2, err := legacy2.Sample(mapOnly, 10*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fast2.SampleVector(mapOnly, 10*time.Second, dst); err != nil {
-		t.Fatal(err)
-	}
-	for i, ev := range events {
-		if dst[i] != s2.Values[ev] {
-			t.Fatalf("map-only source, event %s: vector %v != map %v", ev, dst[i], s2.Values[ev])
 		}
 	}
 }

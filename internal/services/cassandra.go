@@ -80,12 +80,6 @@ func (c *Cassandra) Perf(w Workload, capacity float64) Perf {
 	return Perf{LatencyMs: lat, QoSPercent: 100, Utilization: rho}
 }
 
-// MetricRates implements Service: the legacy map API, a thin adapter
-// over the dense MetricRatesInto path.
-func (c *Cassandra) MetricRates(w Workload, instances int) map[metrics.Event]float64 {
-	return ratesMap(c, w, instances)
-}
-
 // MetricRatesInto implements Service. The informative events respond
 // to per-instance volume and the read/write split; everything else
 // stays at its background rate.

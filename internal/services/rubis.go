@@ -71,12 +71,6 @@ func (r *RUBiS) Perf(w Workload, capacity float64) Perf {
 	return Perf{LatencyMs: lat, QoSPercent: 100, Utilization: rho}
 }
 
-// MetricRates implements Service: the legacy map API, a thin adapter
-// over the dense MetricRatesInto path.
-func (r *RUBiS) MetricRates(w Workload, instances int) map[metrics.Event]float64 {
-	return ratesMap(r, w, instances)
-}
-
 // MetricRatesInto implements Service. The mapping is built so that the
 // eight Table 1 counters carry the workload information: CPU
 // (cpu_clk_unhalted), cache (l2_ads, l2_reject_busq, l2_st), memory

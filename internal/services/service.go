@@ -103,17 +103,11 @@ type Service interface {
 	// Perf returns steady-state performance for a workload served by
 	// the given effective capacity (in large-instance units).
 	Perf(w Workload, capacity float64) Perf
-	// MetricRates returns the true per-second low-level event rates
-	// observed on ONE instance when the workload is spread over the
-	// given number of instances. The DejaVu profiler samples these
-	// through a metrics.Monitor. This is the legacy map API; the hot
-	// path uses MetricRatesInto.
-	MetricRates(w Workload, instances int) map[metrics.Event]float64
-	// MetricRatesInto is the allocation-free fast path of MetricRates:
-	// it writes the same rates into a caller-provided dense vector
-	// (indexed by metrics.Index). Implementations must produce values
-	// exactly equal to MetricRates — the dense/map property test
-	// enforces bit-equality.
+	// MetricRatesInto writes the true per-second low-level event rates
+	// observed on ONE instance, when the workload is spread over the
+	// given number of instances, into a caller-provided dense vector
+	// (indexed by metrics.Index). The DejaVu profiler samples these
+	// through a metrics.Monitor.
 	MetricRatesInto(w Workload, instances int, dst *metrics.Rates)
 	// MaxAllocation is the full-capacity configuration — DejaVu's
 	// fallback for unclassifiable workloads and the paper's
@@ -186,17 +180,7 @@ type ProfileSource struct {
 	Instances int
 }
 
-// Rates implements metrics.Source.
-func (p *ProfileSource) Rates() map[metrics.Event]float64 {
-	n := p.Instances
-	if n <= 0 {
-		n = 1
-	}
-	return p.Service.MetricRates(p.Workload, n)
-}
-
-// RatesInto implements metrics.VectorSource, the allocation-free path
-// the Monitor samples through at runtime.
+// RatesInto implements metrics.Source.
 func (p *ProfileSource) RatesInto(dst *metrics.Rates) {
 	n := p.Instances
 	if n <= 0 {
@@ -205,7 +189,7 @@ func (p *ProfileSource) RatesInto(dst *metrics.Rates) {
 	p.Service.MetricRatesInto(p.Workload, n, dst)
 }
 
-var _ metrics.VectorSource = (*ProfileSource)(nil)
+var _ metrics.Source = (*ProfileSource)(nil)
 
 // fillerRate gives synthetic filler events a fixed, workload-independent
 // background rate derived from the event name, so they are stable but
@@ -235,15 +219,6 @@ func init() {
 // background rate; services then overwrite the informative events.
 func baseRatesInto(dst *metrics.Rates) {
 	dst.SetAll(baseVector)
-}
-
-// ratesMap adapts the dense MetricRatesInto path to the legacy
-// map-returning MetricRates API — one implementation of the rate
-// formulas, two views of the result.
-func ratesMap(s Service, w Workload, instances int) map[metrics.Event]float64 {
-	r := metrics.NewRates()
-	s.MetricRatesInto(w, instances, r)
-	return r.ToMap()
 }
 
 // Dense indices of the informative events, resolved once so the

@@ -157,14 +157,24 @@ func TestRequiredCapacityUnmeetable(t *testing.T) {
 	}
 }
 
+// rateReader returns a lookup over one dense reading filled by fill.
+func rateReader(fill func(*metrics.Rates)) func(metrics.Event) float64 {
+	r := metrics.NewRates()
+	fill(r)
+	return func(ev metrics.Event) float64 { return r.At(metrics.MustIndex(ev)) }
+}
+
+// rates reads a service's per-instance rates through MetricRatesInto.
+func rates(s Service, w Workload, instances int) func(metrics.Event) float64 {
+	return rateReader(func(r *metrics.Rates) { s.MetricRatesInto(w, instances, r) })
+}
+
 func TestMetricRatesCoverCatalog(t *testing.T) {
 	for _, s := range allServices() {
-		rates := s.MetricRates(Workload{Clients: 100, Mix: s.DefaultMix()}, 2)
-		for _, ev := range metrics.AllEvents() {
-			v, ok := rates[ev]
-			if !ok {
-				t.Errorf("%s: missing event %q", s.Name(), ev)
-			}
+		r := metrics.NewRates()
+		s.MetricRatesInto(Workload{Clients: 100, Mix: s.DefaultMix()}, 2, r)
+		for i, ev := range metrics.AllEvents() {
+			v := r.At(i)
 			if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 				t.Errorf("%s: event %q rate %v invalid", s.Name(), ev, v)
 			}
@@ -177,11 +187,11 @@ func TestMetricRatesScaleWithVolume(t *testing.T) {
 	// rates at 2x the volume must be clearly larger.
 	for _, s := range allServices() {
 		mix := s.DefaultMix()
-		lo := s.MetricRates(Workload{Clients: 100, Mix: mix}, 2)
-		hi := s.MetricRates(Workload{Clients: 200, Mix: mix}, 2)
+		lo := rates(s, Workload{Clients: 100, Mix: mix}, 2)
+		hi := rates(s, Workload{Clients: 200, Mix: mix}, 2)
 		grew := 0
 		for _, ev := range metrics.AllEvents() {
-			if hi[ev] > lo[ev]*1.5 {
+			if hi(ev) > lo(ev)*1.5 {
 				grew++
 			}
 		}
@@ -195,12 +205,12 @@ func TestMetricRatesSeparateMixes(t *testing.T) {
 	// Workload *type* changes must move some counters (the paper:
 	// signatures identify workloads differing in read/write ratio).
 	c := NewCassandra()
-	a := c.MetricRates(Workload{Clients: 200, Mix: c.DefaultMix()}, 2)
-	b := c.MetricRates(Workload{Clients: 200, Mix: c.ReadMostlyMix()}, 2)
-	if !(b[metrics.EvLoadBlock] > a[metrics.EvLoadBlock]) {
+	a := rates(c, Workload{Clients: 200, Mix: c.DefaultMix()}, 2)
+	b := rates(c, Workload{Clients: 200, Mix: c.ReadMostlyMix()}, 2)
+	if !(b(metrics.EvLoadBlock) > a(metrics.EvLoadBlock)) {
 		t.Error("read-mostly mix should raise load_block")
 	}
-	if !(b[metrics.EvL2St] < a[metrics.EvL2St]) {
+	if !(b(metrics.EvL2St) < a(metrics.EvL2St)) {
 		t.Error("read-mostly mix should lower l2_st")
 	}
 }
@@ -209,31 +219,29 @@ func TestMetricRatesPerInstanceNormalization(t *testing.T) {
 	// Doubling the fleet halves per-instance volume-driven rates.
 	c := NewCassandra()
 	mix := c.DefaultMix()
-	one := c.MetricRates(Workload{Clients: 400, Mix: mix}, 2)
-	two := c.MetricRates(Workload{Clients: 400, Mix: mix}, 4)
-	if !(two[metrics.EvFlopsRate] < one[metrics.EvFlopsRate]) {
+	one := rates(c, Workload{Clients: 400, Mix: mix}, 2)(metrics.EvFlopsRate)
+	two := rates(c, Workload{Clients: 400, Mix: mix}, 4)(metrics.EvFlopsRate)
+	if !(two < one) {
 		t.Error("per-instance flops should drop when instances double")
 	}
-	if math.Abs(two[metrics.EvFlopsRate]*2-one[metrics.EvFlopsRate]) > 1e-6 {
-		t.Errorf("flops should halve exactly: %v vs %v",
-			two[metrics.EvFlopsRate], one[metrics.EvFlopsRate])
+	if math.Abs(two*2-one) > 1e-6 {
+		t.Errorf("flops should halve exactly: %v vs %v", two, one)
 	}
 }
 
 func TestMetricRatesZeroInstancesGuard(t *testing.T) {
 	c := NewCassandra()
-	rates := c.MetricRates(Workload{Clients: 100, Mix: c.DefaultMix()}, 0)
-	if rates[metrics.EvFlopsRate] <= 0 {
+	if rates(c, Workload{Clients: 100, Mix: c.DefaultMix()}, 0)(metrics.EvFlopsRate) <= 0 {
 		t.Error("zero instances should be treated as one")
 	}
 }
 
 func TestFillerEventsWorkloadIndependent(t *testing.T) {
 	c := NewCassandra()
-	a := c.MetricRates(Workload{Clients: 50, Mix: c.DefaultMix()}, 2)
-	b := c.MetricRates(Workload{Clients: 500, Mix: c.ReadMostlyMix()}, 2)
+	a := rates(c, Workload{Clients: 50, Mix: c.DefaultMix()}, 2)
+	b := rates(c, Workload{Clients: 500, Mix: c.ReadMostlyMix()}, 2)
 	filler := metrics.Event("uops_retired")
-	if a[filler] != b[filler] {
+	if a(filler) != b(filler) {
 		t.Error("filler events must not respond to workload")
 	}
 }
@@ -241,12 +249,11 @@ func TestFillerEventsWorkloadIndependent(t *testing.T) {
 func TestProfileSource(t *testing.T) {
 	c := NewCassandra()
 	src := ProfileSource{Service: c, Workload: Workload{Clients: 100, Mix: c.DefaultMix()}, Instances: 2}
-	rates := src.Rates()
-	if rates[metrics.EvFlopsRate] <= 0 {
+	if rateReader(src.RatesInto)(metrics.EvFlopsRate) <= 0 {
 		t.Error("ProfileSource should expose service rates")
 	}
 	zero := ProfileSource{Service: c, Workload: Workload{Clients: 100, Mix: c.DefaultMix()}}
-	if zero.Rates()[metrics.EvFlopsRate] <= 0 {
+	if rateReader(zero.RatesInto)(metrics.EvFlopsRate) <= 0 {
 		t.Error("ProfileSource with 0 instances should default to 1")
 	}
 }

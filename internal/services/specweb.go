@@ -85,12 +85,6 @@ func (s *SPECWeb) Perf(w Workload, capacity float64) Perf {
 	return Perf{LatencyMs: lat, QoSPercent: qos, Utilization: rho}
 }
 
-// MetricRates implements Service: the legacy map API, a thin adapter
-// over the dense MetricRatesInto path.
-func (s *SPECWeb) MetricRates(w Workload, instances int) map[metrics.Event]float64 {
-	return ratesMap(s, w, instances)
-}
-
 // MetricRatesInto implements Service. The support workload is I/O- and
 // network-heavy, so the disk and network events dominate its
 // signature; the FP-heavy banking mix lights up the flops counter

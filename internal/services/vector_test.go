@@ -3,12 +3,10 @@ package services
 import (
 	"math/rand"
 	"testing"
-
-	"repro/internal/metrics"
 )
 
 // vectorTestCases enumerates every service with every mix its API
-// exposes — the dense fast path must cover the full matrix.
+// exposes.
 func vectorTestCases() []struct {
 	svc   Service
 	mixes []Mix
@@ -23,61 +21,6 @@ func vectorTestCases() []struct {
 		{c, []Mix{c.DefaultMix(), c.ReadMostlyMix()}},
 		{s, []Mix{s.DefaultMix(), s.BankingMix(), s.EcommerceMix()}},
 		{r, []Mix{r.DefaultMix(), r.BrowsingMix(), r.SellingMix()}},
-	}
-}
-
-// TestMetricRatesDenseMatchesMap is the property test for the
-// dense/map contract: for every service × mix × instance count ×
-// load, the legacy MetricRates map view must be EXACTLY equal
-// (bit-for-bit, not approximately) to the dense MetricRatesInto
-// reading at every catalog event — covering the adapter, the dense
-// indexing, and the full-catalog coverage invariant in one sweep.
-func TestMetricRatesDenseMatchesMap(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	events := metrics.AllEvents()
-	dst := metrics.NewRates()
-	for _, tc := range vectorTestCases() {
-		for _, mix := range tc.mixes {
-			for _, instances := range []int{-3, 0, 1, 2, 5, 10} {
-				for trial := 0; trial < 8; trial++ {
-					clients := rng.Float64() * 1200
-					w := Workload{Clients: clients, Mix: mix}
-					legacy := tc.svc.MetricRates(w, instances)
-					tc.svc.MetricRatesInto(w, instances, dst)
-					if len(legacy) != len(events) {
-						t.Fatalf("%s: legacy map has %d events, catalog %d", tc.svc.Name(), len(legacy), len(events))
-					}
-					for _, ev := range events {
-						got := dst.At(metrics.Index(ev))
-						want := legacy[ev]
-						if got != want {
-							t.Fatalf("%s mix=%s n=%d clients=%v: event %s dense=%v map=%v",
-								tc.svc.Name(), mix.Name, instances, clients, ev, got, want)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestProfileSourceVectorMatchesMap checks the Source adapter the
-// Monitor reads through.
-func TestProfileSourceVectorMatchesMap(t *testing.T) {
-	for _, tc := range vectorTestCases() {
-		src := &ProfileSource{
-			Service:   tc.svc,
-			Workload:  Workload{Clients: 333, Mix: tc.mixes[0]},
-			Instances: 4,
-		}
-		legacy := src.Rates()
-		dst := metrics.NewRates()
-		src.RatesInto(dst)
-		for ev, want := range legacy {
-			if got := dst.At(metrics.Index(ev)); got != want {
-				t.Fatalf("%s: event %s dense=%v map=%v", tc.svc.Name(), ev, got, want)
-			}
-		}
 	}
 }
 

@@ -147,9 +147,14 @@ func TestBinaryCodecZeroAlloc(t *testing.T) {
 
 	// The JSON decode side is allocation-free too once warmed (its
 	// encode side is as well; both feed the serve benchmark's JSON
-	// axis).
+	// axis): request signatures and response certainties both go
+	// through the number parser.
 	reqJSON := req.AppendJSON(nil)
+	respJSON := resp.AppendJSON(nil)
 	if err := scratchReq.DecodeJSON(reqJSON); err != nil {
+		t.Fatal(err)
+	}
+	if err := scratchResp.DecodeJSON(respJSON); err != nil {
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(200, func() {
@@ -158,5 +163,12 @@ func TestBinaryCodecZeroAlloc(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("JSON request decode allocates %.1f times per batch, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		if err := scratchResp.DecodeJSON(respJSON); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("JSON response decode allocates %.1f times per batch, want 0", allocs)
 	}
 }

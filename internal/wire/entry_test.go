@@ -49,9 +49,17 @@ func entriesEqual(a, b *Entry) bool {
 }
 
 // jsonSafeTemplate reports whether the JSON form carries the template
-// verbatim: template ids travel unescaped, so a quote or backslash
-// picked up from a binary frame cannot cross into JSON.
-func jsonSafeTemplate(t []byte) bool { return !bytes.ContainsAny(t, `"\`) }
+// verbatim: template ids travel unescaped, so a quote, backslash or
+// control character picked up from a binary frame cannot cross into
+// JSON.
+func jsonSafeTemplate(t []byte) bool {
+	for _, c := range t {
+		if c == '"' || c == '\\' || c < 0x20 {
+			return false
+		}
+	}
+	return true
+}
 
 // checkEntryOracle is the round-trip oracle shared by the property
 // test and the fuzz target: given a decoded entry of form f, encoding
@@ -245,28 +253,33 @@ func fixLen(b []byte) []byte {
 	return b
 }
 
-// TestEntryCodecZeroAlloc pins the binary get/put codec at 0 allocs
-// per encode+decode on warmed scratch — the frames ride the decision
-// plane's zero-alloc envelopes.
+// TestEntryCodecZeroAlloc pins the get/put codec at 0 allocs per
+// encode+decode on warmed scratch, in both encodings and all four
+// forms — the frames ride the decision plane's zero-alloc envelopes.
 func TestEntryCodecZeroAlloc(t *testing.T) {
-	var req, srv, reply Entry
-	var buf []byte
-	allocs := testing.AllocsPerRun(200, func() {
-		req.Reset()
-		req.SetTemplate("cassandra")
-		req.Class, req.Bucket, req.Type, req.Count = 3, 2, cloud.LargeID, 4
-		buf = req.AppendRequest(EncodingBinary, true, buf[:0])
-		if err := srv.DecodeRequest(EncodingBinary, true, buf); err != nil {
-			t.Fatal(err)
+	for _, enc := range []Encoding{EncodingBinary, EncodingJSON} {
+		for _, put := range []bool{false, true} {
+			var req, srv, reply Entry
+			var buf []byte
+			allocs := testing.AllocsPerRun(200, func() {
+				req.Reset()
+				req.SetTemplate("cassandra")
+				req.Class, req.Bucket, req.Type, req.Count = 3, 2, cloud.LargeID, 4
+				buf = req.AppendRequest(enc, put, buf[:0])
+				if err := srv.DecodeRequest(enc, put, buf); err != nil {
+					t.Fatal(err)
+				}
+				srv.Version, srv.Entries = 5, 9
+				srv.Hit, srv.Type, srv.Count = true, cloud.LargeID, 4
+				buf = srv.AppendReply(enc, put, buf[:0])
+				if err := reply.DecodeReply(enc, put, buf); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("enc %d put=%v: get/put codec allocates %.1f times per round trip, want 0", enc, put, allocs)
+			}
 		}
-		srv.Version, srv.Entries = 5, 9
-		buf = srv.AppendReply(EncodingBinary, true, buf[:0])
-		if err := reply.DecodeReply(EncodingBinary, true, buf); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("binary get/put codec allocates %.1f times per round trip, want 0", allocs)
 	}
 }
 

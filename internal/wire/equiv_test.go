@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"math/rand"
 	"testing"
@@ -89,19 +91,7 @@ func TestWireJSONBinaryEquivalence(t *testing.T) {
 	// Responses: same property, both vocabularies.
 	var jsonResp, binResp Response
 	for iter := 0; iter < 300; iter++ {
-		resp := Response{Version: rng.Uint64() % (1 << 40), Lookup: rng.Intn(2) == 0}
-		for i := 0; i < 1+rng.Intn(24); i++ {
-			d := Decision{Class: rng.Intn(8) - 1, Certainty: math.Abs(randomFloat(rng))}
-			if d.Class == -1 {
-				d.Unforeseen = true
-			}
-			if resp.Lookup && d.Class >= 0 && rng.Intn(2) == 0 {
-				d.Hit = true
-				d.Type = catalog[rng.Intn(len(catalog))].ID()
-				d.Count = 1 + rng.Intn(40)
-			}
-			resp.Results = append(resp.Results, d)
-		}
+		resp := randomResponse(rng)
 		jsonBuf = resp.AppendJSON(jsonBuf[:0])
 		binBuf = resp.AppendBinary(binBuf[:0])
 		if err := jsonResp.DecodeJSON(jsonBuf); err != nil {
@@ -125,4 +115,172 @@ func TestWireJSONBinaryEquivalence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// randomResponse builds a random response in the range both
+// encodings carry.
+func randomResponse(rng *rand.Rand) *Response {
+	resp := &Response{Version: rng.Uint64() % (1 << 40), Lookup: rng.Intn(2) == 0}
+	for i := 0; i < 1+rng.Intn(24); i++ {
+		d := Decision{Class: rng.Intn(8) - 1, Certainty: math.Abs(randomFloat(rng))}
+		if d.Class == -1 {
+			d.Unforeseen = true
+		}
+		if resp.Lookup && d.Class >= 0 && rng.Intn(2) == 0 {
+			d.Hit = true
+			d.Type = catalog[rng.Intn(len(catalog))].ID()
+			d.Count = 1 + rng.Intn(40)
+		}
+		resp.Results = append(resp.Results, d)
+	}
+	return resp
+}
+
+func requestsEqual(a, b *Request) bool {
+	if !bytes.Equal(a.Template, b.Template) || a.Bucket != b.Bucket || a.Rows() != b.Rows() {
+		return false
+	}
+	for i := 0; i < a.Rows(); i++ {
+		ra, rb := a.Row(i), b.Row(i)
+		if len(ra) != len(rb) {
+			return false
+		}
+		for j := range ra {
+			if math.Float64bits(ra[j]) != math.Float64bits(rb[j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func responsesEqual(a, b *Response) bool {
+	if a.Version != b.Version || a.Lookup != b.Lookup || len(a.Results) != len(b.Results) {
+		return false
+	}
+	for i := range a.Results {
+		da, db := a.Results[i], b.Results[i]
+		if math.Float64bits(da.Certainty) != math.Float64bits(db.Certainty) {
+			return false
+		}
+		da.Certainty, db.Certainty = 0, 0
+		if da != db {
+			return false
+		}
+	}
+	return true
+}
+
+func allFinite(vs []float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// jsonCarriesRequest reports whether the JSON vocabulary can carry r:
+// JSON numbers have no NaN or ±Inf, and template ids travel unescaped.
+func jsonCarriesRequest(r *Request) bool {
+	return jsonSafeTemplate(r.Template) && allFinite(r.vals)
+}
+
+// jsonCarriesResponse reports whether the JSON vocabulary can carry r:
+// finite certainties, versions and classes in the JSON decoder's
+// range, and the lookup vocabulary only where a row shows it.
+func jsonCarriesResponse(r *Response) bool {
+	if r.Version > maxEntryVersion || r.Lookup && len(r.Results) == 0 {
+		return false
+	}
+	for _, d := range r.Results {
+		if math.IsNaN(d.Certainty) || math.IsInf(d.Certainty, 0) ||
+			d.Class < -1 || d.Class > 1<<20 || d.Hit && !r.Lookup {
+			return false
+		}
+	}
+	return true
+}
+
+// checkRequestOracle re-encodes a decoded request in every encoding
+// that carries it and requires the decode to give it back bit for
+// bit; with both legs run, the binary and JSON decodes are bit-equal.
+func checkRequestOracle(t *testing.T, got *Request) {
+	t.Helper()
+	for _, enc := range []Encoding{EncodingBinary, EncodingJSON} {
+		if w, ok := got.Rectangular(); enc == EncodingBinary && (!ok || w == 0) ||
+			enc == EncodingJSON && !jsonCarriesRequest(got) {
+			continue
+		}
+		frame, err := got.Append(enc, nil)
+		if err != nil {
+			t.Fatalf("enc %d: encoding %+v: %v", enc, *got, err)
+		}
+		var back Request
+		if err := back.Decode(enc, frame); err != nil {
+			t.Fatalf("enc %d: decoding %q: %v", enc, frame, err)
+		}
+		if !requestsEqual(got, &back) {
+			t.Fatalf("enc %d: %+v round-tripped to %+v via %q", enc, *got, back, frame)
+		}
+	}
+}
+
+// checkResponseOracle is checkRequestOracle for responses.
+func checkResponseOracle(t *testing.T, got *Response) {
+	t.Helper()
+	for _, enc := range []Encoding{EncodingBinary, EncodingJSON} {
+		if enc == EncodingJSON && !jsonCarriesResponse(got) {
+			continue
+		}
+		frame := got.Append(enc, nil)
+		var back Response
+		if err := back.Decode(enc, frame); err != nil {
+			t.Fatalf("enc %d: decoding %q: %v", enc, frame, err)
+		}
+		if !responsesEqual(got, &back) {
+			t.Fatalf("enc %d: %+v round-tripped to %+v via %q", enc, *got, back, frame)
+		}
+	}
+}
+
+// FuzzDecisionFrame feeds arbitrary bytes to the decision decoders in
+// both encodings (kind bit0: 0 = request, 1 = response). The decoders
+// must never panic; every JSON body they accept must be valid JSON;
+// and whatever they accept must satisfy the round-trip oracle:
+// decode∘encode is the identity, and the binary and JSON forms decode
+// to bit-equal values. Seed corpus: testdata/fuzz/FuzzDecisionFrame.
+func FuzzDecisionFrame(f *testing.F) {
+	rng := rand.New(rand.NewSource(14))
+	for i := 0; i < 3; i++ {
+		req := randomRequest(rng)
+		bin, err := req.AppendBinary(nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint8(0), bin)
+		f.Add(uint8(0), req.AppendJSON(nil))
+		resp := randomResponse(rng)
+		f.Add(uint8(1), resp.AppendBinary(nil))
+		f.Add(uint8(1), resp.AppendJSON(nil))
+	}
+	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
+		for _, enc := range []Encoding{EncodingBinary, EncodingJSON} {
+			var err error
+			if kind&1 == 0 {
+				var req Request
+				if err = req.Decode(enc, data); err == nil {
+					checkRequestOracle(t, &req)
+				}
+			} else {
+				var resp Response
+				if err = resp.Decode(enc, data); err == nil {
+					checkResponseOracle(t, &resp)
+				}
+			}
+			if err == nil && enc == EncodingJSON && !json.Valid(data) {
+				t.Fatalf("JSON decoder accepted invalid JSON %q", data)
+			}
+		}
+	})
 }

@@ -3,7 +3,6 @@ package wire
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strconv"
 
 	"repro/internal/cloud"
@@ -85,14 +84,9 @@ func (r *Request) DecodeJSON(body []byte) error {
 				}
 			}
 		case "bucket":
-			v, err := s.number()
-			if err != nil {
+			if r.Bucket, err = s.integer(0, 1<<20); err != nil {
 				return err
 			}
-			if v != math.Trunc(v) || v < 0 || v > 1<<20 {
-				return fmt.Errorf("wire: bucket %v is not a small non-negative integer", v)
-			}
-			r.Bucket = int(v)
 		case "template":
 			t, err := s.key()
 			if err != nil {
@@ -122,7 +116,7 @@ func (r *Request) DecodeJSON(body []byte) error {
 	if r.Rows() == 0 {
 		return errors.New("wire: request contains no signatures")
 	}
-	return nil
+	return s.end()
 }
 
 // AppendJSON encodes the request as the JSON vocabulary appended to
@@ -199,7 +193,7 @@ func (r *Response) DecodeJSON(body []byte) error {
 		return err
 	} else if c == '}' {
 		s.i++
-		return nil
+		return s.end()
 	}
 	for {
 		k, err := s.key()
@@ -211,12 +205,9 @@ func (r *Response) DecodeJSON(body []byte) error {
 		}
 		switch string(k) {
 		case "version":
-			v, err := s.number()
+			v, err := s.integer(0, maxEntryVersion)
 			if err != nil {
 				return err
-			}
-			if v != math.Trunc(v) || v < 0 {
-				return fmt.Errorf("wire: version %v is not a non-negative integer", v)
 			}
 			r.Version = uint64(v)
 		case "results":
@@ -234,7 +225,7 @@ func (r *Response) DecodeJSON(body []byte) error {
 		}
 		s.i++
 		if c == '}' {
-			return nil
+			return s.end()
 		}
 		if c != ',' {
 			return fmt.Errorf("wire: expected ',' or '}' at offset %d", s.i-1)
@@ -293,14 +284,9 @@ func (r *Response) decodeJSONDecision(s *scanner, d *Decision) error {
 		}
 		switch string(k) {
 		case "class":
-			v, err := s.number()
-			if err != nil {
+			if d.Class, err = s.integer(-1, 1<<20); err != nil {
 				return err
 			}
-			if v != math.Trunc(v) || v < -1 || v > 1<<20 {
-				return fmt.Errorf("wire: class %v out of range", v)
-			}
-			d.Class = int(v)
 		case "certainty":
 			if d.Certainty, err = s.number(); err != nil {
 				return err
@@ -325,14 +311,9 @@ func (r *Response) decodeJSONDecision(s *scanner, d *Decision) error {
 			}
 			d.Type = id
 		case "count":
-			v, err := s.number()
-			if err != nil {
+			if d.Count, err = s.integer(0, 1<<20); err != nil {
 				return err
 			}
-			if v != math.Trunc(v) || v < 0 || v > 1<<20 {
-				return fmt.Errorf("wire: count %v out of range", v)
-			}
-			d.Count = int(v)
 		default:
 			if err := s.skipValue(); err != nil {
 				return err
@@ -344,6 +325,11 @@ func (r *Response) decodeJSONDecision(s *scanner, d *Decision) error {
 		}
 		s.i++
 		if c == '}' {
+			// The encoders write type and count exactly on hit rows;
+			// anything else would not survive a re-encode.
+			if d.Hit != (d.Type != 0) || !d.Hit && d.Count != 0 {
+				return errors.New("wire: decision carries type or count without a hit")
+			}
 			return nil
 		}
 		if c != ',' {

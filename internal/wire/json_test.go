@@ -1,9 +1,11 @@
 package wire
 
 import (
+	"encoding/json"
 	"math"
 	"math/rand"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -92,6 +94,81 @@ func TestParseErrors(t *testing.T) {
 		if err := req.DecodeJSON([]byte(b)); err == nil {
 			t.Errorf("parse %q: expected error", b)
 		}
+	}
+}
+
+// TestJSONDecodersRejectNonJSON holds every JSON decoder to RFC 8259:
+// a body accepted by the decision or get/put vocabulary is valid JSON,
+// including the values it skips under unknown keys.
+func TestJSONDecodersRejectNonJSON(t *testing.T) {
+	skipped := []string{
+		`[}]`, `{]}`, `[1 2 3]`, `{"a" 1}`, `{"a":1,}`, `[1,]`, `{1:2}`, `[[]`,
+		`"\q"`, `"\u12G4"`, "\"tab\there\"", `tru`, `-`, `01`,
+	}
+	numbers := []string{`.5,1.`, `1.`, `.5`, `01`, `-`, `+1`, `1e+`, `1.e5`, `0x10`, `Infinity`}
+	decoders := []struct {
+		name        string
+		decode      func([]byte) error
+		skip, value func(string) string
+	}{
+		{"request", func(b []byte) error { var r Request; return r.DecodeJSON(b) },
+			func(v string) string { return `{"x":` + v + `,"signature":[1,2]}` },
+			func(n string) string { return `{"signature":[` + n + `]}` }},
+		{"response", func(b []byte) error { var r Response; return r.DecodeJSON(b) },
+			func(v string) string { return `{"x":` + v + `,"version":1}` },
+			func(n string) string { return `{"results":[{"certainty":` + n + `}]}` }},
+		{"entry", func(b []byte) error { var e Entry; return e.DecodeRequest(EncodingJSON, false, b) },
+			func(v string) string { return `{"x":` + v + `,"class":1}` },
+			func(n string) string { return `{"class":` + n + `}` }},
+	}
+	for _, d := range decoders {
+		var bad []string
+		for _, v := range skipped {
+			bad = append(bad, d.skip(v))
+		}
+		for _, n := range numbers {
+			bad = append(bad, d.value(n))
+		}
+		bad = append(bad, d.value(`1`)+` x`, d.value(`1`)+`{}`)
+		for _, b := range bad {
+			if json.Valid([]byte(b)) {
+				t.Fatalf("%s: table body %q is valid JSON", d.name, b)
+			}
+			if err := d.decode([]byte(b)); err == nil {
+				t.Errorf("%s: decoded %q, want an error", d.name, b)
+			}
+		}
+		good := []string{
+			d.skip(`[[],{},[{}],{"a":[1,-0.5e-3,"s\"\u00e9",true,false,null]}]`),
+			d.skip(`"\/\b\f\n\r\t\\"`) + " \n",
+			d.value(`0`), d.value(`-0`), d.value(`1E+2`),
+		}
+		for _, b := range good {
+			if !json.Valid([]byte(b)) {
+				t.Fatalf("%s: table body %q is not valid JSON", d.name, b)
+			}
+			if err := d.decode([]byte(b)); err != nil {
+				t.Errorf("%s: %q: %v", d.name, b, err)
+			}
+		}
+	}
+}
+
+// TestSkipDepthBound pins the nesting bound of skipped values: the
+// deepest value skipValue accepts, and one level more rejected.
+func TestSkipDepthBound(t *testing.T) {
+	nested := func(depth int) []byte {
+		return []byte(`{"x":` + strings.Repeat("[", depth) + strings.Repeat("]", depth) + `,"signature":[1]}`)
+	}
+	var req Request
+	if err := req.DecodeJSON(nested(maxSkipDepth)); err != nil {
+		t.Errorf("depth %d: %v", maxSkipDepth, err)
+	}
+	if err := req.DecodeJSON(nested(maxSkipDepth + 1)); err == nil {
+		t.Errorf("depth %d decoded, want an error", maxSkipDepth+1)
+	}
+	if err := req.DecodeJSON(nested(1 << 16)); err == nil {
+		t.Error("depth 65536 decoded, want an error")
 	}
 }
 

@@ -3,7 +3,6 @@ package wire
 import (
 	"errors"
 	"fmt"
-	"math"
 	"strconv"
 )
 
@@ -49,20 +48,25 @@ func (s *scanner) peek() (byte, error) {
 
 // key reads a JSON string, returning the raw bytes between the quotes.
 // Keys in the decision vocabulary carry no escapes; escaped sequences
-// are kept verbatim (they simply won't match any known key).
+// are validated but kept verbatim (they simply won't match any known
+// key).
 func (s *scanner) key() ([]byte, error) {
 	if err := s.expect('"'); err != nil {
 		return nil, err
 	}
 	start := s.i
 	for s.i < len(s.b) {
-		switch s.b[s.i] {
-		case '\\':
-			s.i += 2
-		case '"':
+		switch c := s.b[s.i]; {
+		case c == '"':
 			k := s.b[start:s.i]
 			s.i++
 			return k, nil
+		case c == '\\':
+			if err := s.escape(); err != nil {
+				return nil, err
+			}
+		case c < 0x20:
+			return nil, fmt.Errorf("wire: control character in string at offset %d", s.i)
 		default:
 			s.i++
 		}
@@ -70,290 +74,76 @@ func (s *scanner) key() ([]byte, error) {
 	return nil, errTruncated
 }
 
-// number parses a JSON number exactly for every shortest-form float64
-// encoding (what strconv.AppendFloat 'g' -1 emits — the only form the
-// wire codecs themselves produce) without allocating. A fast
-// mantissa/exponent scan gives the correctly rounded result outright
-// for values with up to 15 significant digits and decimal exponents
-// within ±22; longer encodings land within a few ulps and are then
-// refined by matching candidate floats' shortest representation
-// against the input digits (see refineShortest). Non-canonical long
-// inputs (e.g. 25 printed digits) degrade gracefully to the fast
-// path's few-ulp accuracy; determinism always holds: equal bytes
-// parse to equal values.
+// escape consumes one backslash escape sequence of a JSON string.
+func (s *scanner) escape() error {
+	if s.i+1 >= len(s.b) {
+		return errTruncated
+	}
+	switch s.b[s.i+1] {
+	case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
+		s.i += 2
+		return nil
+	case 'u':
+		if s.i+6 > len(s.b) {
+			return errTruncated
+		}
+		for _, h := range s.b[s.i+2 : s.i+6] {
+			if !('0' <= h && h <= '9' || 'a' <= h && h <= 'f' || 'A' <= h && h <= 'F') {
+				return fmt.Errorf("wire: malformed \\u escape at offset %d", s.i)
+			}
+		}
+		s.i += 6
+		return nil
+	}
+	return fmt.Errorf("wire: malformed escape at offset %d", s.i)
+}
+
+// number scans one JSON number (RFC 8259: -?(0|[1-9][0-9]*)(.[0-9]+)?
+// ([eE][+-]?[0-9]+)?) and converts it with strconv, which rounds
+// correctly. Tokens of up to 32 bytes (every shortest-form float64)
+// convert on the stack, so parsing does not allocate. Magnitudes
+// beyond float64 parse to ±Inf.
 func (s *scanner) number() (float64, error) {
 	s.ws()
-	neg := false
+	start := s.i
 	if s.i < len(s.b) && s.b[s.i] == '-' {
-		neg = true
 		s.i++
 	}
-	tokStart := s.i
-	var mant uint64
-	exp := 0
-	seen := false
-	digits := 0 // significant digits consumed into mant
-	for s.i < len(s.b) {
-		c := s.b[s.i]
-		if c < '0' || c > '9' {
-			break
-		}
-		seen = true
-		if mant <= (math.MaxUint64-9)/10 {
-			mant = mant*10 + uint64(c-'0')
-			if mant > 0 {
-				digits++
-			}
-		} else {
-			exp++
-			digits++
-		}
+	switch {
+	case s.i < len(s.b) && s.b[s.i] == '0':
 		s.i++
+	case !s.digits():
+		return 0, fmt.Errorf("wire: malformed number at offset %d", s.i)
 	}
 	if s.i < len(s.b) && s.b[s.i] == '.' {
 		s.i++
-		for s.i < len(s.b) {
-			c := s.b[s.i]
-			if c < '0' || c > '9' {
-				break
-			}
-			seen = true
-			if mant <= (math.MaxUint64-9)/10 {
-				mant = mant*10 + uint64(c-'0')
-				if mant > 0 {
-					digits++
-				}
-				exp--
-			}
-			s.i++
+		if !s.digits() {
+			return 0, fmt.Errorf("wire: malformed fraction at offset %d", s.i)
 		}
-	}
-	if !seen {
-		return 0, fmt.Errorf("wire: malformed number at offset %d", s.i)
 	}
 	if s.i < len(s.b) && (s.b[s.i] == 'e' || s.b[s.i] == 'E') {
 		s.i++
-		eneg := false
-		switch {
-		case s.i < len(s.b) && s.b[s.i] == '-':
-			eneg = true
-			s.i++
-		case s.i < len(s.b) && s.b[s.i] == '+':
+		if s.i < len(s.b) && (s.b[s.i] == '-' || s.b[s.i] == '+') {
 			s.i++
 		}
-		e := 0
-		eseen := false
-		for s.i < len(s.b) {
-			c := s.b[s.i]
-			if c < '0' || c > '9' {
-				break
-			}
-			eseen = true
-			if e < 1<<20 {
-				e = e*10 + int(c-'0')
-			}
-			s.i++
-		}
-		if !eseen {
+		if !s.digits() {
 			return 0, fmt.Errorf("wire: malformed exponent at offset %d", s.i)
 		}
-		if eneg {
-			e = -e
-		}
-		exp += e
 	}
-	f := float64(mant)
-	switch {
-	case exp > 0:
-		for exp > 308 { // overflow folds to +Inf
-			f *= 1e308
-			exp -= 308
-		}
-		f *= pow10(exp)
-	case exp < 0:
-		e := -exp
-		for e > 308 { // underflow degrades through subnormals to 0
-			f /= 1e308
-			e -= 308
-		}
-		f /= pow10(e)
-	}
-	// The fast path is already exact when the mantissa fits 15 digits
-	// and the residual decimal exponent is a power of ten that
-	// multiplies/divides exactly (|exp| ≤ 22): one rounding total.
-	if digits > 15 || exp > 22 || exp < -22 {
-		f = refineShortest(f, s.b[tokStart:s.i])
-	}
-	if neg {
-		f = -f
-	}
+	// The token is well formed, so the only error ParseFloat can
+	// report is ErrRange, which comes with the ±Inf (or 0) result.
+	f, _ := strconv.ParseFloat(string(s.b[start:s.i]), 64)
 	return f, nil
 }
 
-// pow10 returns 10^e for 0 <= e <= 308 without allocating.
-func pow10(e int) float64 {
-	f := 1.0
-	p := 10.0
-	for e > 0 {
-		if e&1 == 1 {
-			f *= p
-		}
-		p *= p
-		e >>= 1
+// digits consumes a run of decimal digits, reporting whether there
+// was at least one.
+func (s *scanner) digits() bool {
+	start := s.i
+	for s.i < len(s.b) && '0' <= s.b[s.i] && s.b[s.i] <= '9' {
+		s.i++
 	}
-	return f
-}
-
-// refineUlpWindow bounds the neighbour search of refineShortest. The
-// fast scan is within 1 ulp for moderate exponents and within ~8 ulps
-// across the non-extreme float64 range (pinned by TestNumberRoundTrip),
-// so ±8 covers every refinable input.
-const refineUlpWindow = 8
-
-// refineShortest resolves the last-ulp ambiguity of the fast scan: the
-// correct value of a shortest-form encoding is the unique float64
-// whose own shortest representation reproduces the input digits.
-// Starting from the estimate f (magnitude only, no sign), it walks
-// neighbouring floats in ulp order and returns the first whose
-// AppendFloat('e', -1) output matches the input token's normalized
-// significand and decimal exponent. Inputs that are not a shortest
-// encoding match no candidate and keep the estimate. Allocation-free:
-// all scratch lives on the stack.
-func refineShortest(f float64, tok []byte) float64 {
-	if math.IsInf(f, 0) || f == 0 {
-		return f
-	}
-	var wantDigits, candDigits [24]byte
-	want, wantExp, ok := decomposeDecimal(tok, wantDigits[:0])
-	if !ok {
-		return f
-	}
-	var fmtBuf [32]byte
-	up, down := f, f
-	for step := 0; step <= refineUlpWindow; step++ {
-		for _, cand := range [2]float64{up, down} {
-			out := strconv.AppendFloat(fmtBuf[:0], cand, 'e', -1, 64)
-			got, gotExp, cok := decomposeDecimal(out, candDigits[:0])
-			if cok && gotExp == wantExp && string(got) == string(want) {
-				return cand
-			}
-			if up == down { // step 0: one candidate
-				break
-			}
-		}
-		up = math.Nextafter(up, math.Inf(1))
-		down = math.Nextafter(down, math.Inf(-1))
-	}
-	return f
-}
-
-// decomposeDecimal normalizes a JSON number token into its significand
-// digits (leading and trailing zeros stripped) and a decimal exponent
-// such that value = 0.<digits> × 10^exp. Reports !ok for zero values,
-// tokens with more significant digits than fit dst, or malformed
-// input.
-func decomposeDecimal(tok []byte, dst []byte) (digits []byte, exp int, ok bool) {
-	i := 0
-	if i < len(tok) && (tok[i] == '-' || tok[i] == '+') {
-		i++
-	}
-	intDigits := 0
-	sawPoint := false
-	leading := true
-	pending := 0 // buffered zeros that only count if a nonzero digit follows
-	for ; i < len(tok); i++ {
-		c := tok[i]
-		switch {
-		case c >= '0' && c <= '9':
-			if !sawPoint {
-				intDigits++
-			}
-			if c == '0' {
-				if !leading {
-					pending++
-				}
-				continue
-			}
-			leading = false
-			for ; pending > 0; pending-- {
-				if len(dst) == cap(dst) {
-					return nil, 0, false
-				}
-				dst = append(dst, '0')
-			}
-			if len(dst) == cap(dst) {
-				return nil, 0, false
-			}
-			dst = append(dst, c)
-		case c == '.':
-			if sawPoint {
-				return nil, 0, false
-			}
-			sawPoint = true
-		case c == 'e' || c == 'E':
-			e, eok := parseExpTail(tok[i+1:])
-			if !eok {
-				return nil, 0, false
-			}
-			if len(dst) == 0 {
-				return nil, 0, false // zero
-			}
-			return dst, intDigits - countLeadingZeros(tok) + e, true
-		default:
-			return nil, 0, false
-		}
-	}
-	if len(dst) == 0 {
-		return nil, 0, false // zero
-	}
-	return dst, intDigits - countLeadingZeros(tok), true
-}
-
-// countLeadingZeros counts zero digits before the first significant
-// digit in the integer-and-fraction part of the token (sign skipped),
-// so "0.00123" yields 3 ("0", "0", "0" — the integer zero plus two
-// fractional zeros) and the decomposed exponent comes out right.
-func countLeadingZeros(tok []byte) int {
-	i := 0
-	if i < len(tok) && (tok[i] == '-' || tok[i] == '+') {
-		i++
-	}
-	n := 0
-	for ; i < len(tok); i++ {
-		switch tok[i] {
-		case '0':
-			n++
-		case '.':
-		default:
-			return n
-		}
-	}
-	return n
-}
-
-// parseExpTail parses the signed integer after 'e'/'E'.
-func parseExpTail(b []byte) (int, bool) {
-	i, neg := 0, false
-	if i < len(b) && (b[i] == '-' || b[i] == '+') {
-		neg = b[i] == '-'
-		i++
-	}
-	if i >= len(b) {
-		return 0, false
-	}
-	e := 0
-	for ; i < len(b); i++ {
-		if b[i] < '0' || b[i] > '9' {
-			return 0, false
-		}
-		if e < 1<<20 {
-			e = e*10 + int(b[i]-'0')
-		}
-	}
-	if neg {
-		e = -e
-	}
-	return e, true
+	return s.i > start
 }
 
 // numberRow parses a JSON array of numbers, appending to dst.
@@ -390,8 +180,15 @@ func (s *scanner) numberRow(dst []float64) ([]float64, error) {
 	}
 }
 
-// skipValue consumes one JSON value of any shape (for unknown keys).
-func (s *scanner) skipValue() error {
+// maxSkipDepth bounds the nesting of a skipped value, so a hostile
+// body cannot drive the recursive skip into deep stack growth.
+const maxSkipDepth = 32
+
+// skipValue consumes and validates one JSON value of any shape (for
+// unknown keys).
+func (s *scanner) skipValue() error { return s.skip(0) }
+
+func (s *scanner) skip(depth int) error {
 	c, err := s.peek()
 	if err != nil {
 		return err
@@ -401,30 +198,44 @@ func (s *scanner) skipValue() error {
 		_, err := s.key()
 		return err
 	case '{', '[':
-		open, close := byte('{'), byte('}')
-		if c == '[' {
-			open, close = '[', ']'
+		if depth == maxSkipDepth {
+			return fmt.Errorf("wire: value nested deeper than %d at offset %d", maxSkipDepth, s.i)
 		}
-		depth := 0
-		for s.i < len(s.b) {
-			switch s.b[s.i] {
-			case '"':
+		s.i++
+		closer := byte(']')
+		if c == '{' {
+			closer = '}'
+		}
+		if n, err := s.peek(); err != nil {
+			return err
+		} else if n == closer {
+			s.i++
+			return nil
+		}
+		for {
+			if c == '{' {
 				if _, err := s.key(); err != nil {
 					return err
 				}
-				continue
-			case open:
-				depth++
-			case close:
-				depth--
-				if depth == 0 {
-					s.i++
-					return nil
+				if err := s.expect(':'); err != nil {
+					return err
 				}
 			}
+			if err := s.skip(depth + 1); err != nil {
+				return err
+			}
+			n, err := s.peek()
+			if err != nil {
+				return err
+			}
 			s.i++
+			if n == closer {
+				return nil
+			}
+			if n != ',' {
+				return fmt.Errorf("wire: expected ',' or %q at offset %d", closer, s.i-1)
+			}
 		}
-		return errTruncated
 	case 't':
 		return s.literal("true")
 	case 'f':

@@ -425,7 +425,7 @@ func (r *Response) DecodeBinary(body []byte) error {
 		if err != nil {
 			return err
 		}
-		if typ > uint64(len(catalog)) {
+		if typ == 0 || typ > uint64(len(catalog)) {
 			return fmt.Errorf("wire: unknown allocation type id %d", typ)
 		}
 		count, err := d.uvarint()
