@@ -1,34 +1,22 @@
-// Command dejavu-bench runs the hot-path benchmarks programmatically
-// and records the results as JSON — the committed BENCH_fleet.json
-// (run phase) and BENCH_learn.json (learning phase) are the
-// performance baselines CI regresses against.
+// Command dejavu-bench measures four benchmark suites, writes each as
+// JSON, and gates each against a committed baseline:
 //
-//	go run ./cmd/dejavu-bench -out BENCH_fleet.json          # refresh run-phase baseline
-//	go run ./cmd/dejavu-bench -check BENCH_fleet.json        # fail on regression
-//	go run ./cmd/dejavu-bench -learn-out BENCH_learn.json    # refresh learn-phase baseline
-//	go run ./cmd/dejavu-bench -learn-check BENCH_learn.json  # fail on regression
-//	go run ./cmd/dejavu-bench -serve-out BENCH_serve.json    # refresh decision-service baseline
-//	go run ./cmd/dejavu-bench -serve-check BENCH_serve.json  # fail on regression
-//	go run ./cmd/dejavu-bench -scenarios-out BENCH_scenarios.json    # refresh scenario claims
-//	go run ./cmd/dejavu-bench -scenarios-check BENCH_scenarios.json  # fail on claim drift
+//	go run ./cmd/dejavu-bench -out BENCH_fleet.json                  # run phase
+//	go run ./cmd/dejavu-bench -learn-out BENCH_learn.json            # learning phase
+//	go run ./cmd/dejavu-bench -serve-out BENCH_serve.json            # decision service
+//	go run ./cmd/dejavu-bench -scenarios-out BENCH_scenarios.json    # scenario claims
 //
-// With -check, the run fails (exit 1) when fleet steps/s drops more
-// than -tolerance (default 20%) below the baseline, when a tracked
-// benchmark's allocs/op exceeds its baseline, or when a -scale-vms
-// row's steps/s-per-core falls below the matching baseline row's by
-// more than -tolerance (rows absent from the baseline are skipped, so
-// CI can run a subset of the recorded sizes). With
-// -learn-check, it fails when KMeansAuto wall time regresses more
-// than -tolerance against the baseline, when the fast path's speedup
-// over the preserved pre-optimization reference drops below
-// -learn-speedup-floor (default 5×), or when the fast and reference
-// paths choose a different number of clusters at the pinned seed.
-// See docs/BENCHMARKS.md for the methodology.
+// The matching -check, -learn-check, -serve-check and -scenarios-check
+// flags name a baseline. Each suite's measurement and baseline become
+// a table of named rows, a value and its allowed interval (gate.go);
+// the run fails (exit 1) listing every row outside its interval, and
+// otherwise prints every row. See docs/BENCHMARKS.md for the rows.
 package main
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -38,7 +26,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -161,8 +149,7 @@ type ServeBench struct {
 // measured once per wire encoding over HTTP, once over the raw-TCP
 // stream transport at one core, and once over TCP with all cores
 // (sharded accept loops, GOMAXPROCS = NumCPU). The binary/JSON and
-// TCP/binary-HTTP decisions-per-sec ratios are CI-gated (see
-// serveCheck).
+// TCP/binary-HTTP decisions-per-sec ratios are CI-gated (serveRows).
 type ServeReport struct {
 	GoVersion         string     `json:"go_version"`
 	GOMAXPROCS        int        `json:"gomaxprocs"`
@@ -173,9 +160,18 @@ type ServeReport struct {
 	ServeReplicated   ServeBench `json:"serve_replicated"`
 }
 
+// The serve benchmark's load per axis: serveClients concurrent workers
+// issuing serveRequests batched lookups of serveBatch foreseen
+// signatures each. Every axis records the shape it ran.
+const (
+	serveClients  = 8
+	serveBatch    = 16
+	serveRequests = 8000
+)
+
 // benchServe learns a small repository, serves it through the real
-// internal/server stack on loopback, and drives `clients` concurrent
-// connections issuing `requests` batched lookups through the
+// internal/server stack on loopback, and drives serveClients concurrent
+// connections issuing serveRequests batched lookups through the
 // internal/client library — once per wire encoding over HTTP, once
 // over the raw-TCP stream transport, all three pinned to one core so
 // the committed baseline is scheduling-stable; then once more over
@@ -184,16 +180,17 @@ type ServeReport struct {
 // and client zero-alloc tests; this measures end-to-end serving
 // throughput and tail latency, the codec tax separating the two
 // encodings, and the HTTP framing tax the stream transport deletes.
-func benchServe(rep *ServeReport, clients, batch, requests int) error {
+func benchServe() (*ServeReport, error) {
+	rep := &ServeReport{GoVersion: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
 	svc := services.NewCassandra()
 	learnRng := rand.New(rand.NewSource(17))
 	prof, err := core.NewProfiler(svc, learnRng)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	tuner, err := fleet.DefaultTuner(svc)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var workloads []services.Workload
 	for c := 100.0; c <= 460; c += 30 {
@@ -206,19 +203,19 @@ func benchServe(rep *ServeReport, clients, batch, requests int) error {
 		Rng:       learnRng,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	handle, err := core.NewHandle(repo)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	srv, err := server.New(server.Config{Handle: handle})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	hs := &http.Server{Handler: srv.Handler()}
 	go func() { _ = hs.Serve(ln) }()
@@ -229,7 +226,7 @@ func benchServe(rep *ServeReport, clients, batch, requests int) error {
 	// row.
 	tcpLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	tcpOne := server.NewTCP(srv, server.TCPConfig{Accepters: 1})
 	go func() { _ = tcpOne.Serve(tcpLn) }()
@@ -237,7 +234,7 @@ func benchServe(rep *ServeReport, clients, batch, requests int) error {
 	cores := runtime.NumCPU()
 	tcpMultiLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	tcpMulti := server.NewTCP(srv, server.TCPConfig{Accepters: cores})
 	go func() { _ = tcpMulti.Serve(tcpMultiLn) }()
@@ -246,47 +243,37 @@ func benchServe(rep *ServeReport, clients, batch, requests int) error {
 	// One foreseen signature, batched: the steady-state hit path.
 	sig, err := prof.Profile(services.Workload{Clients: 300, Mix: svc.DefaultMix()}, repo.EventsRef())
 	if err != nil {
-		return err
+		return nil, err
 	}
 	addr := ln.Addr().String()
 
 	// Single-core rows: client, server, and codec all share one core,
 	// so the committed numbers compare across machines with different
 	// core counts.
-	prev := runtime.GOMAXPROCS(1)
-	if rep.ServeJSON, err = benchServeEncoding(addr, sig.Values, wire.EncodingJSON, clients, batch, requests); err != nil {
-		runtime.GOMAXPROCS(prev)
-		return err
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if rep.ServeJSON, err = benchServeEncoding(addr, sig.Values, wire.EncodingJSON); err != nil {
+		return nil, err
 	}
-	if rep.ServeBin, err = benchServeEncoding(addr, sig.Values, wire.EncodingBinary, clients, batch, requests); err != nil {
-		runtime.GOMAXPROCS(prev)
-		return err
+	if rep.ServeBin, err = benchServeEncoding(addr, sig.Values, wire.EncodingBinary); err != nil {
+		return nil, err
 	}
-	if rep.ServeTCP, err = benchServeTCP(tcpLn.Addr().String(), sig.Values, clients, batch, requests); err != nil {
-		runtime.GOMAXPROCS(prev)
-		return err
+	if rep.ServeTCP, err = benchServeTCP(tcpLn.Addr().String(), sig.Values); err != nil {
+		return nil, err
 	}
 	// Multi-core rows: all cores — sharded accept loops, then the
 	// replicated decision tier.
 	runtime.GOMAXPROCS(cores)
-	rep.ServeTCPMulticore, err = benchServeTCP(tcpMultiLn.Addr().String(), sig.Values, clients, batch, requests)
-	if err != nil {
-		runtime.GOMAXPROCS(prev)
-		return err
+	if rep.ServeTCPMulticore, err = benchServeTCP(tcpMultiLn.Addr().String(), sig.Values); err != nil {
+		return nil, err
 	}
-	rep.ServeReplicated, err = benchServeReplicated(repo, sig.Values, clients, batch, requests)
-	runtime.GOMAXPROCS(prev)
-	if err != nil {
-		return err
+	if rep.ServeReplicated, err = benchServeReplicated(repo, sig.Values); err != nil {
+		return nil, err
 	}
 
-	hitPct := 100 * repo.HitRate()
-	rep.ServeJSON.HitPct = hitPct
-	rep.ServeBin.HitPct = hitPct
-	rep.ServeTCP.HitPct = hitPct
-	rep.ServeTCPMulticore.HitPct = hitPct
-	rep.ServeReplicated.HitPct = hitPct
-	return nil
+	for _, sb := range []*ServeBench{&rep.ServeJSON, &rep.ServeBin, &rep.ServeTCP, &rep.ServeTCPMulticore, &rep.ServeReplicated} {
+		sb.HitPct = 100 * repo.HitRate()
+	}
+	return rep, nil
 }
 
 // serveReplicas is the tier size the serve_replicated row measures:
@@ -302,9 +289,9 @@ const serveReplicas = 3
 // decision front over the registry — then drives the same batched
 // binary-HTTP load at the front that benchServeEncoding drives at a
 // bare daemon.
-func benchServeReplicated(repo *core.Repository, vals []float64, clients, batch, requests int) (ServeBench, error) {
-	sb := ServeBench{Encoding: "binary", Transport: "replicated", Clients: clients, Batch: batch,
-		Requests: requests, Replicas: serveReplicas, Cores: runtime.GOMAXPROCS(0)}
+func benchServeReplicated(repo *core.Repository, vals []float64) (ServeBench, error) {
+	sb := ServeBench{Encoding: "binary", Transport: "replicated", Clients: serveClients, Batch: serveBatch,
+		Requests: serveRequests, Replicas: serveReplicas, Cores: runtime.GOMAXPROCS(0)}
 
 	specs := make([]replica.Spec, 0, serveReplicas)
 	for i := 0; i < serveReplicas; i++ {
@@ -359,25 +346,25 @@ func benchServeReplicated(repo *core.Repository, vals []float64, clients, batch,
 	go func() { _ = fhs.Serve(frontLn) }()
 	defer fhs.Close()
 
-	cl, err := client.New(client.Config{Addr: frontLn.Addr().String(), Encoding: wire.EncodingBinary, MaxIdleConns: clients})
+	cl, err := client.New(client.Config{Addr: frontLn.Addr().String(), Encoding: wire.EncodingBinary, MaxIdleConns: serveClients})
 	if err != nil {
 		return sb, err
 	}
 	return driveServeLoad(cl, sb, vals)
 }
 
-// benchServeEncoding drives one HTTP encoding's load: `clients`
+// benchServeEncoding drives one HTTP encoding's load: serveClients
 // workers over one pooled client, best of three passes (loopback
 // throughput on a small shared runner is noisy, and the gate compares
 // against the best the machine can do).
-func benchServeEncoding(addr string, vals []float64, enc wire.Encoding, clients, batch, requests int) (ServeBench, error) {
+func benchServeEncoding(addr string, vals []float64, enc wire.Encoding) (ServeBench, error) {
 	name := "json"
 	if enc == wire.EncodingBinary {
 		name = "binary"
 	}
-	sb := ServeBench{Encoding: name, Transport: "http", Clients: clients, Batch: batch,
-		Requests: requests, Cores: runtime.GOMAXPROCS(0)}
-	cl, err := client.New(client.Config{Addr: addr, Encoding: enc, MaxIdleConns: clients})
+	sb := ServeBench{Encoding: name, Transport: "http", Clients: serveClients, Batch: serveBatch,
+		Requests: serveRequests, Cores: runtime.GOMAXPROCS(0)}
+	cl, err := client.New(client.Config{Addr: addr, Encoding: enc, MaxIdleConns: serveClients})
 	if err != nil {
 		return sb, err
 	}
@@ -395,17 +382,16 @@ const tcpPipelineDepth = 8
 
 // benchServeTCP drives the same batched-lookup load over the raw-TCP
 // stream transport: binary payloads framed in stream envelopes on
-// persistent connections, `clients` connections each keeping
+// persistent connections, serveClients connections each keeping
 // tcpPipelineDepth requests in flight. Latency is measured per
 // envelope from write to its response, so the quantiles include the
 // queueing a full window implies.
-func benchServeTCP(tcpAddr string, vals []float64, clients, batch, requests int) (ServeBench, error) {
-	sb := ServeBench{Encoding: "binary", Transport: "tcp", Clients: clients, Batch: batch,
-		Requests: requests, Pipeline: tcpPipelineDepth, Cores: runtime.GOMAXPROCS(0)}
+func benchServeTCP(tcpAddr string, vals []float64) (ServeBench, error) {
+	sb := ServeBench{Encoding: "binary", Transport: "tcp", Clients: serveClients, Batch: serveBatch,
+		Requests: serveRequests, Pipeline: tcpPipelineDepth, Cores: runtime.GOMAXPROCS(0)}
 
 	var req wire.Request
-	req.Bucket = 0
-	for r := 0; r < batch; r++ {
+	for r := 0; r < serveBatch; r++ {
 		req.AppendRow(vals)
 	}
 	payload, err := req.AppendBinary(nil)
@@ -413,8 +399,8 @@ func benchServeTCP(tcpAddr string, vals []float64, clients, batch, requests int)
 		return sb, err
 	}
 
-	conns := make([]net.Conn, clients)
-	streams := make([]*wire.Stream, clients)
+	conns := make([]net.Conn, serveClients)
+	streams := make([]*wire.Stream, serveClients)
 	defer func() {
 		for _, nc := range conns {
 			if nc != nil {
@@ -441,117 +427,115 @@ func benchServeTCP(tcpAddr string, vals []float64, clients, batch, requests int)
 		streams[i] = st
 	}
 
-	for trial := 0; trial < 3; trial++ {
-		latencies := make([][]time.Duration, clients)
-		errs := make([]error, clients)
+	err = bestOfThree(&sb, func(lat [][]time.Duration, errs []error) {
 		deadline := time.Now().Add(time.Minute)
-		start := time.Now()
 		var wg sync.WaitGroup
-		for w := 0; w < clients; w++ {
-			n := requests / clients
-			if w < requests%clients {
+		for w := 0; w < serveClients; w++ {
+			n := serveRequests / serveClients
+			if w < serveRequests%serveClients {
 				n++
 			}
 			wg.Add(1)
 			go func(w, n int) {
 				defer wg.Done()
-				st := streams[w]
 				conns[w].SetDeadline(deadline)
-				var resp wire.Response
-				var sendTimes [tcpPipelineDepth]time.Time
-				sent, inflight := 0, 0
-				for done := 0; done < n; done++ {
-					for inflight < tcpPipelineDepth && sent < n {
-						sendTimes[sent%tcpPipelineDepth] = time.Now()
-						if err := st.WriteEnvelope(uint32(sent), wire.StreamFlagLookup, payload); err != nil {
-							errs[w] = err
-							return
-						}
-						sent++
-						inflight++
-					}
-					id, flags, body, err := st.ReadEnvelope(8 << 20)
-					if err != nil {
-						errs[w] = err
-						return
-					}
-					if id != uint32(done) {
-						errs[w] = fmt.Errorf("response id %d, want %d", id, done)
-						return
-					}
-					if flags&wire.StreamFlagError != 0 {
-						errs[w] = fmt.Errorf("daemon error: %s", body)
-						return
-					}
-					if err := resp.Decode(wire.EncodingBinary, body); err != nil {
-						errs[w] = err
-						return
-					}
-					latencies[w] = append(latencies[w], time.Since(sendTimes[done%tcpPipelineDepth]))
-					inflight--
-				}
+				errs[w] = pipelineLookups(streams[w], payload, n, &lat[w])
 			}(w, n)
 		}
 		wg.Wait()
-		elapsed := time.Since(start)
-		for _, err := range errs {
-			if err != nil {
-				return sb, err
-			}
-		}
-		recordBestTrial(&sb, elapsed, latencies)
-	}
-	return sb, nil
+	})
+	return sb, err
 }
 
-// recordBestTrial folds one load pass into sb if it beat the passes
-// before it (best of N: loopback throughput on a small shared runner
-// is noisy, and the gate compares against the best the machine can
-// do).
-func recordBestTrial(sb *ServeBench, elapsed time.Duration, latencies [][]time.Duration) {
-	dps := float64(sb.Requests*sb.Batch) / elapsed.Seconds()
-	if dps <= sb.DecisionsPerSec {
-		return
+// pipelineLookups sends n lookup envelopes over st, keeping
+// tcpPipelineDepth of them in flight, and appends each one's latency
+// from write to response to lat.
+func pipelineLookups(st *wire.Stream, payload []byte, n int, lat *[]time.Duration) error {
+	var resp wire.Response
+	var sendTimes [tcpPipelineDepth]time.Time
+	sent, inflight := 0, 0
+	for done := 0; done < n; done++ {
+		for inflight < tcpPipelineDepth && sent < n {
+			sendTimes[sent%tcpPipelineDepth] = time.Now()
+			if err := st.WriteEnvelope(uint32(sent), wire.StreamFlagLookup, payload); err != nil {
+				return err
+			}
+			sent++
+			inflight++
+		}
+		id, flags, body, err := st.ReadEnvelope(8 << 20)
+		if err != nil {
+			return err
+		}
+		if id != uint32(done) {
+			return fmt.Errorf("response id %d, want %d", id, done)
+		}
+		if flags&wire.StreamFlagError != 0 {
+			return fmt.Errorf("daemon error: %s", body)
+		}
+		if err := resp.Decode(wire.EncodingBinary, body); err != nil {
+			return err
+		}
+		*lat = append(*lat, time.Since(sendTimes[done%tcpPipelineDepth]))
+		inflight--
 	}
-	var all []time.Duration
-	for _, l := range latencies {
-		all = append(all, l...)
+	return nil
+}
+
+// bestOfThree runs three passes of a load and keeps the fastest in sb
+// (loopback throughput on a small shared runner is noisy, and the gate
+// compares against the best the machine can do). pass runs one pass of
+// sb.Clients workers, appending each worker's request latencies to
+// lat[worker] and recording its error in errs[worker].
+func bestOfThree(sb *ServeBench, pass func(lat [][]time.Duration, errs []error)) error {
+	for trial := 0; trial < 3; trial++ {
+		lat := make([][]time.Duration, sb.Clients)
+		errs := make([]error, sb.Clients)
+		start := time.Now()
+		pass(lat, errs)
+		elapsed := time.Since(start)
+		if err := errors.Join(errs...); err != nil {
+			return err
+		}
+		dps := float64(sb.Requests*sb.Batch) / elapsed.Seconds()
+		if dps <= sb.DecisionsPerSec {
+			continue
+		}
+		var all []time.Duration
+		for _, l := range lat {
+			all = append(all, l...)
+		}
+		slices.Sort(all)
+		quantile := func(q float64) float64 {
+			return float64(all[int(q*float64(len(all)-1))].Microseconds()) / 1000
+		}
+		sb.Seconds = elapsed.Seconds()
+		sb.DecisionsPerSec = dps
+		sb.P50Ms = quantile(0.50)
+		sb.P99Ms = quantile(0.99)
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	quantile := func(q float64) float64 {
-		idx := int(q * float64(len(all)-1))
-		return float64(all[idx].Microseconds()) / 1000
-	}
-	sb.Seconds = elapsed.Seconds()
-	sb.DecisionsPerSec = dps
-	sb.P50Ms = quantile(0.50)
-	sb.P99Ms = quantile(0.99)
+	return nil
 }
 
 // driveServeLoad issues the batched-lookup load through cl and keeps
 // the best of three passes. It closes cl.
 func driveServeLoad(cl *client.Client, sb ServeBench, vals []float64) (ServeBench, error) {
 	defer cl.Close()
-	clients, batch, requests := sb.Clients, sb.Batch, sb.Requests
 
 	// Per-worker wire scratch: requests are identical, decode state is
 	// private.
-	reqs := make([]*wire.Request, clients)
-	resps := make([]*wire.Response, clients)
+	reqs := make([]*wire.Request, sb.Clients)
+	resps := make([]*wire.Response, sb.Clients)
 	for i := range reqs {
 		reqs[i] = &wire.Request{}
-		reqs[i].Bucket = 0
-		for r := 0; r < batch; r++ {
+		for r := 0; r < sb.Batch; r++ {
 			reqs[i].AppendRow(vals)
 		}
 		resps[i] = &wire.Response{}
 	}
 
-	for trial := 0; trial < 3; trial++ {
-		latencies := make([][]time.Duration, clients)
-		errs := make([]error, clients)
-		start := time.Now()
-		parallel.DoWorkers(clients, requests, func(worker, _ int) {
+	err := bestOfThree(&sb, func(lat [][]time.Duration, errs []error) {
+		parallel.DoWorkers(sb.Clients, sb.Requests, func(worker, _ int) {
 			if errs[worker] != nil {
 				return
 			}
@@ -560,17 +544,10 @@ func driveServeLoad(cl *client.Client, sb ServeBench, vals []float64) (ServeBenc
 				errs[worker] = err
 				return
 			}
-			latencies[worker] = append(latencies[worker], time.Since(t0))
+			lat[worker] = append(lat[worker], time.Since(t0))
 		})
-		elapsed := time.Since(start)
-		for _, err := range errs {
-			if err != nil {
-				return sb, err
-			}
-		}
-		recordBestTrial(&sb, elapsed, latencies)
-	}
-	return sb, nil
+	})
+	return sb, err
 }
 
 // ScenarioRow is one BENCH_scenarios.json claim: a scenario kind's
@@ -589,8 +566,7 @@ type ScenarioRow struct {
 // ScenarioReport is the BENCH_scenarios.json schema. Every row is
 // bit-deterministic at the pinned seed (the sweep runs Workers=1), so
 // drift within the gate's tolerance still indicates a real behaviour
-// change — the tolerance exists for intentional small recalibrations,
-// mirroring the serve gate's posture.
+// change — the tolerance exists for intentional small recalibrations.
 type ScenarioReport struct {
 	GoVersion  string        `json:"go_version"`
 	GOMAXPROCS int           `json:"gomaxprocs"`
@@ -613,8 +589,10 @@ func scenarioRow(c experiments.ScenarioClaim) ScenarioRow {
 	}
 }
 
-func benchScenarios(seed int64, vms, days int) (*ScenarioReport, error) {
-	sweep, err := experiments.ScenarioSweep(experiments.ScenarioOptions{Seed: seed, VMs: vms, Days: days})
+// benchScenarios runs the claims sweep: an 8-VM, 1-day fleet at seed
+// 42, unperturbed and once per adversarial kind.
+func benchScenarios() (*ScenarioReport, error) {
+	sweep, err := experiments.ScenarioSweep(experiments.ScenarioOptions{Seed: 42, VMs: 8, Days: 1})
 	if err != nil {
 		return nil, err
 	}
@@ -632,109 +610,12 @@ func benchScenarios(seed int64, vms, days int) (*ScenarioReport, error) {
 	return rep, nil
 }
 
-// scenariosCheck gates the claims: for every kind present in the
-// committed baseline, the hit rate and SLO-violation fraction may not
-// drift more than `tolerance` in absolute terms, and the cost may not
-// drift more than `tolerance` relatively. Kinds absent from the
-// baseline are skipped (the baseline predates them), mirroring the
-// serve gate's absent-axis skip.
-func scenariosCheck(current, baseline *ScenarioReport, tolerance float64) error {
-	rows := func(r *ScenarioReport) map[string]ScenarioRow {
-		m := map[string]ScenarioRow{r.Baseline.Kind: r.Baseline}
-		for _, s := range r.Scenarios {
-			m[s.Kind] = s
-		}
-		return m
-	}
-	cur := rows(current)
-	for kind, bas := range rows(baseline) {
-		if bas.Kind == "" {
-			continue // baseline predates this row
-		}
-		c, ok := cur[kind]
-		if !ok {
-			return fmt.Errorf("scenario %s present in baseline but missing from this run", kind)
-		}
-		if d := c.HitRate - bas.HitRate; d < -tolerance || d > tolerance {
-			return fmt.Errorf("scenario %s hit rate drifted: %.4f vs baseline %.4f (±%.2f allowed)",
-				kind, c.HitRate, bas.HitRate, tolerance)
-		}
-		if d := c.SLOViolationFraction - bas.SLOViolationFraction; d < -tolerance || d > tolerance {
-			return fmt.Errorf("scenario %s SLO-violation fraction drifted: %.4f vs baseline %.4f (±%.2f allowed)",
-				kind, c.SLOViolationFraction, bas.SLOViolationFraction, tolerance)
-		}
-		if bas.CostUSD > 0 {
-			ratio := c.CostUSD / bas.CostUSD
-			if ratio < 1-tolerance || ratio > 1+tolerance {
-				return fmt.Errorf("scenario %s cost drifted: $%.2f vs baseline $%.2f (±%d%% allowed)",
-					kind, c.CostUSD, bas.CostUSD, int(tolerance*100))
-			}
-		}
-	}
-	return nil
-}
-
-func serveCheck(current, baseline *ServeReport, tolerance, binaryFloor, tcpFloor float64) error {
-	// Absolute decisions/s on the multicore row only compares like with
-	// like: a baseline recorded on an N-core runner says nothing about a
-	// 1-core box (and vice versa), so the regression compare is skipped
-	// when the core counts differ — the cores field is recorded honestly
-	// for exactly this reason. Re-record the baseline on the runner class
-	// that CI actually uses (see BENCHMARKS.md).
-	multicoreComparable := current.ServeTCPMulticore.Cores == baseline.ServeTCPMulticore.Cores
-	for _, axis := range []struct {
-		name     string
-		cur, bas float64
-		skip     bool
-	}{
-		{name: "serve_json", cur: current.ServeJSON.DecisionsPerSec, bas: baseline.ServeJSON.DecisionsPerSec},
-		{name: "serve_binary", cur: current.ServeBin.DecisionsPerSec, bas: baseline.ServeBin.DecisionsPerSec},
-		{name: "serve_tcp", cur: current.ServeTCP.DecisionsPerSec, bas: baseline.ServeTCP.DecisionsPerSec},
-		{name: "serve_tcp_multicore", cur: current.ServeTCPMulticore.DecisionsPerSec, bas: baseline.ServeTCPMulticore.DecisionsPerSec, skip: !multicoreComparable},
-		{name: "serve_replicated", cur: current.ServeReplicated.DecisionsPerSec, bas: baseline.ServeReplicated.DecisionsPerSec},
-	} {
-		if axis.bas == 0 || axis.skip {
-			continue // baseline predates this axis, or core counts differ
-		}
-		floor := axis.bas * (1 - tolerance)
-		if axis.cur < floor {
-			return fmt.Errorf("%s decisions/s regressed: %.0f < %.0f (baseline %.0f - %d%%)",
-				axis.name, axis.cur, floor, axis.bas, int(tolerance*100))
-		}
-	}
-	// The hardware-independent parts of the gate: the binary columnar
-	// encoding must beat JSON by the configured factor on the same
-	// load (the point of the wire refactor), and the raw-TCP stream
-	// transport must beat binary-over-HTTP by its factor on the same
-	// single-core load (the point of the transport refactor).
-	if current.ServeJSON.DecisionsPerSec > 0 {
-		ratio := current.ServeBin.DecisionsPerSec / current.ServeJSON.DecisionsPerSec
-		if ratio < binaryFloor {
-			return fmt.Errorf("binary/json decisions/s ratio fell below floor: %.2fx < %.2fx (binary %.0f, json %.0f)",
-				ratio, binaryFloor, current.ServeBin.DecisionsPerSec, current.ServeJSON.DecisionsPerSec)
-		}
-	}
-	if current.ServeBin.DecisionsPerSec > 0 && current.ServeTCP.DecisionsPerSec > 0 {
-		ratio := current.ServeTCP.DecisionsPerSec / current.ServeBin.DecisionsPerSec
-		if ratio < tcpFloor {
-			return fmt.Errorf("tcp/binary-http decisions/s ratio fell below floor: %.2fx < %.2fx (tcp %.0f, binary http %.0f)",
-				ratio, tcpFloor, current.ServeTCP.DecisionsPerSec, current.ServeBin.DecisionsPerSec)
-		}
-	}
-	// Sharded accept loops must not cost throughput when there are
-	// cores to shard over; with one core the row only pins that the
-	// multi-accepter path works at all.
-	if current.ServeTCPMulticore.Cores > 1 &&
-		current.ServeTCPMulticore.DecisionsPerSec < current.ServeTCP.DecisionsPerSec {
-		return fmt.Errorf("multi-core tcp serving (%d cores, %.0f decisions/s) slower than single-core (%.0f)",
-			current.ServeTCPMulticore.Cores, current.ServeTCPMulticore.DecisionsPerSec, current.ServeTCP.DecisionsPerSec)
-	}
-	return nil
-}
-
-func benchLearn(n int) (LearnBench, error) {
+// benchLearn times one KMeansAuto sweep over a 6000-row signature set
+// on the fast engine and on the reference path.
+func benchLearn() (*LearnReport, error) {
 	const (
 		seed    = 42
+		n       = 6000
 		dims    = 6
 		classes = 5
 		minK    = 2
@@ -744,7 +625,9 @@ func benchLearn(n int) (LearnBench, error) {
 	// (well-separated means, unit-ish noise) like the ones the
 	// learning phase clusters after CFS projection.
 	X := ml.ClusteredDataset(seed, n, dims, classes)
-	lb := LearnBench{N: n, Dims: dims, MinK: minK, MaxK: maxK, Restarts: 5, Seed: seed}
+	rep := &LearnReport{GoVersion: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
+	lb := &rep.KMeansAuto
+	*lb = LearnBench{N: n, Dims: dims, MinK: minK, MaxK: maxK, Restarts: 5, Seed: seed}
 
 	// Fast engine: best of three sweeps, fresh RNG each so every
 	// sweep consumes the identical derived-seed stream.
@@ -754,7 +637,7 @@ func benchLearn(n int) (LearnBench, error) {
 		start := time.Now()
 		res, err := ml.KMeansAuto(X, minK, maxK, ml.KMeansConfig{Rng: rand.New(rand.NewSource(seed))})
 		if err != nil {
-			return lb, err
+			return nil, err
 		}
 		if el := time.Since(start); el < fast {
 			fast = el
@@ -767,7 +650,7 @@ func benchLearn(n int) (LearnBench, error) {
 	start := time.Now()
 	refRes, err := ml.KMeansAutoReference(X, minK, maxK, ml.KMeansConfig{Rng: rand.New(rand.NewSource(seed))})
 	if err != nil {
-		return lb, err
+		return nil, err
 	}
 	baseline := time.Since(start)
 
@@ -778,27 +661,37 @@ func benchLearn(n int) (LearnBench, error) {
 	}
 	lb.ChosenK = fastRes.K
 	lb.BaselineChosenK = refRes.K
-	return lb, nil
+	return rep, nil
 }
 
-func learnCheck(current, baseline *LearnReport, tolerance, speedupFloor float64) error {
-	if current.KMeansAuto.ChosenK != current.KMeansAuto.BaselineChosenK {
-		return fmt.Errorf("learn chosen k diverged: fast=%d reference=%d (seed %d)",
-			current.KMeansAuto.ChosenK, current.KMeansAuto.BaselineChosenK, current.KMeansAuto.Seed)
+// benchFleetReport measures the run phase: the 100-VM headline fleet,
+// the tracked hot paths, and one scale row per size in scale.
+func benchFleetReport(scale []int) (*Report, error) {
+	rep := &Report{GoVersion: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
+	var err error
+	if rep.Fleet, err = benchFleet(100); err != nil {
+		return nil, fmt.Errorf("fleet: %w", err)
 	}
-	if baseline.KMeansAuto.ChosenK != 0 && current.KMeansAuto.ChosenK != baseline.KMeansAuto.ChosenK {
-		return fmt.Errorf("learn chosen k drifted from committed baseline: %d != %d",
-			current.KMeansAuto.ChosenK, baseline.KMeansAuto.ChosenK)
+	if rep.SignatureCollection, err = benchSignatureCollection(); err != nil {
+		return nil, fmt.Errorf("signature collection: %w", err)
 	}
-	if ceiling := baseline.KMeansAuto.FastMs * (1 + tolerance); current.KMeansAuto.FastMs > ceiling {
-		return fmt.Errorf("learn KMeansAuto regressed: %.1fms > %.1fms (baseline %.1fms + %d%%)",
-			current.KMeansAuto.FastMs, ceiling, baseline.KMeansAuto.FastMs, int(tolerance*100))
+	rep.ServicePerf = benchServicePerf()
+	if rep.MVASolve, err = benchMVA(false); err != nil {
+		return nil, fmt.Errorf("mva: %w", err)
 	}
-	if current.KMeansAuto.Speedup < speedupFloor {
-		return fmt.Errorf("learn speedup over reference fell below floor: %.1fx < %.1fx",
-			current.KMeansAuto.Speedup, speedupFloor)
+	if rep.MVAMemoized, err = benchMVA(true); err != nil {
+		return nil, fmt.Errorf("mva memo: %w", err)
 	}
-	return nil
+	for _, n := range scale {
+		row, err := benchFleetScale(n)
+		if err != nil {
+			return nil, fmt.Errorf("scale vms=%d: %w", n, err)
+		}
+		fmt.Fprintf(os.Stderr, "dejavu-bench: scale vms=%d %.0f steps/s (%.0f per core, %d workers, %.1fs)\n",
+			row.VMs, row.StepsPerSec, row.StepsPerSecPerCore, row.Workers, row.Seconds)
+		rep.FleetScale = append(rep.FleetScale, row)
+	}
+	return rep, nil
 }
 
 func toBench(r testing.BenchmarkResult) Bench {
@@ -953,57 +846,6 @@ func benchMVA(memoized bool) (Bench, error) {
 	return toBench(r), runErr
 }
 
-func check(current, baseline *Report, tolerance float64) error {
-	floor := baseline.Fleet.StepsPerSec * (1 - tolerance)
-	if current.Fleet.StepsPerSec < floor {
-		return fmt.Errorf("fleet steps/s regressed: %.0f < %.0f (baseline %.0f - %d%%)",
-			current.Fleet.StepsPerSec, floor, baseline.Fleet.StepsPerSec, int(tolerance*100))
-	}
-	allocChecks := []struct {
-		name     string
-		cur, bas int64
-	}{
-		{"fleet", current.Fleet.AllocsPerOp, baseline.Fleet.AllocsPerOp},
-		{"signature_collection", current.SignatureCollection.AllocsPerOp, baseline.SignatureCollection.AllocsPerOp},
-		{"service_perf", current.ServicePerf.AllocsPerOp, baseline.ServicePerf.AllocsPerOp},
-	}
-	for _, c := range allocChecks {
-		// Allocation counts are deterministic; allow slack only for the
-		// fleet run, whose per-op counts include goroutine machinery
-		// (tightened from bas/5 once the per-run setup allocations were
-		// pooled away).
-		slack := int64(0)
-		if c.name == "fleet" {
-			slack = c.bas / 10
-		}
-		if c.cur > c.bas+slack {
-			return fmt.Errorf("%s allocs/op regressed: %d > baseline %d", c.name, c.cur, c.bas)
-		}
-	}
-	// Scale rows gate on steps/s-per-core, the core-count-normalized
-	// throughput, so a baseline recorded on an N-core runner still
-	// gates a M-core one. Rows the baseline lacks are skipped (it
-	// predates them), mirroring the serve gate's absent-axis posture —
-	// which also lets CI run only the 10k row against a baseline that
-	// carries 10k and 100k.
-	basScale := make(map[int]FleetScaleBench, len(baseline.FleetScale))
-	for _, row := range baseline.FleetScale {
-		basScale[row.VMs] = row
-	}
-	for _, cur := range current.FleetScale {
-		bas, ok := basScale[cur.VMs]
-		if !ok || bas.StepsPerSecPerCore == 0 {
-			continue // baseline predates this row
-		}
-		floor := bas.StepsPerSecPerCore * (1 - tolerance)
-		if cur.StepsPerSecPerCore < floor {
-			return fmt.Errorf("fleet_scale vms=%d steps/s/core regressed: %.0f < %.0f (baseline %.0f @ %d cores - %d%%; current @ %d cores)",
-				cur.VMs, cur.StepsPerSecPerCore, floor, bas.StepsPerSecPerCore, bas.Cores, int(tolerance*100), cur.Cores)
-		}
-	}
-	return nil
-}
-
 func writeJSON(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -1017,9 +859,7 @@ func fatalf(format string, args ...any) {
 }
 
 // readBaseline reads and parses a committed baseline file, exiting on
-// failure; nil means no baseline was requested. Baselines are read up
-// front so `-out X -check X` regresses against the previous contents,
-// not the freshly written ones.
+// failure; nil means no baseline was requested.
 func readBaseline[T any](path, what string) *T {
 	if path == "" {
 		return nil
@@ -1057,31 +897,66 @@ func emitReport(outPath string, v any) {
 	}
 }
 
+// suite is one benchmark family: the report it writes to out, the
+// baseline at check it is gated against, how it is measured, and how
+// a measurement and a baseline become gate rows.
+type suite[T any] struct {
+	name       string
+	out, check string
+	measure    func() (*T, error)
+	rows       func(cur, bas *T) []row
+}
+
+// run measures the suite when it was asked for (or force is set),
+// emits the report, and gates it against the baseline. The baseline is
+// read first, so `-out X -check X` gates against the previous contents
+// of X, not the fresh ones.
+func (s suite[T]) run(force bool) {
+	if !force && s.out == "" && s.check == "" {
+		return
+	}
+	bas := readBaseline[T](s.check, s.name)
+	cur, err := s.measure()
+	if err != nil {
+		fatalf("%s: %v", s.name, err)
+	}
+	emitReport(s.out, cur)
+	if bas == nil {
+		return
+	}
+	rows := s.rows(cur, bas)
+	if err := gate(rows); err != nil {
+		fatalf("REGRESSION vs %s:\n%v", s.check, err)
+	}
+	for _, r := range rows {
+		fmt.Fprintf(os.Stderr, "dejavu-bench: ok %v\n", r)
+	}
+}
+
 func main() {
-	out := flag.String("out", "", "write results to this JSON file")
-	checkPath := flag.String("check", "", "compare against this baseline JSON and fail on regression")
-	tolerance := flag.Float64("tolerance", 0.20, "allowed fractional regression with -check/-learn-check")
-	vms := flag.Int("vms", 100, "fleet size for the headline benchmark")
+	out := flag.String("out", "", "write run-phase results to this JSON file")
+	checkPath := flag.String("check", "", "gate the run phase against this baseline JSON")
 	scaleVMs := flag.String("scale-vms", "", "comma-separated fleet sizes for single-shot scale rows (e.g. 10000,100000)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile covering the benchmark run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile taken after the benchmark run to this file")
 	learnOut := flag.String("learn-out", "", "write learn-phase results to this JSON file")
-	learnCheckPath := flag.String("learn-check", "", "compare the learn phase against this baseline JSON and fail on regression")
-	learnN := flag.Int("learn-n", 6000, "signature-set size for the learn-phase benchmark")
-	speedupFloor := flag.Float64("learn-speedup-floor", 5.0, "minimum KMeansAuto speedup over the reference path with -learn-check")
+	learnCheck := flag.String("learn-check", "", "gate the learn phase against this baseline JSON")
 	serveOut := flag.String("serve-out", "", "write decision-service results to this JSON file")
-	serveCheckPath := flag.String("serve-check", "", "compare the decision service against this baseline JSON and fail on regression")
-	serveClients := flag.Int("serve-clients", 8, "concurrent load-generator clients for the serve benchmark")
-	serveBatch := flag.Int("serve-batch", 16, "signatures per batched lookup in the serve benchmark")
-	serveRequests := flag.Int("serve-requests", 8000, "total requests issued by the serve benchmark per encoding")
-	serveBinaryFloor := flag.Float64("serve-binary-floor", 1.5, "minimum binary/json decisions/s ratio with -serve-check")
-	serveTCPFloor := flag.Float64("serve-tcp-floor", 2.0, "minimum tcp/binary-http decisions/s ratio with -serve-check")
+	serveCheck := flag.String("serve-check", "", "gate the decision service against this baseline JSON")
 	scenariosOut := flag.String("scenarios-out", "", "write adversarial scenario claims to this JSON file")
-	scenariosCheckPath := flag.String("scenarios-check", "", "compare scenario claims against this baseline JSON and fail on drift")
-	scenariosVMs := flag.Int("scenarios-vms", 8, "fleet size per scenario for the claims harness")
-	scenariosDays := flag.Int("scenarios-days", 1, "run days per scenario for the claims harness")
-	scenariosSeed := flag.Int64("scenarios-seed", 42, "seed for the claims harness")
+	scenariosCheck := flag.String("scenarios-check", "", "gate scenario claims against this baseline JSON")
 	flag.Parse()
+
+	var scale []int
+	if *scaleVMs != "" {
+		for _, field := range strings.Split(*scaleVMs, ",") {
+			n, err := strconv.Atoi(strings.TrimSpace(field))
+			if err != nil || n <= 0 {
+				fatalf("scale-vms: bad fleet size %q", field)
+			}
+			scale = append(scale, n)
+		}
+	}
 
 	// Profiles cover everything the invocation runs; feed them to
 	// `go tool pprof` to see where scale-row steps/s goes.
@@ -1117,113 +992,11 @@ func main() {
 		}()
 	}
 
-	baseline := readBaseline[Report](*checkPath, "fleet")
-	learnBaseline := readBaseline[LearnReport](*learnCheckPath, "learn")
-	serveBaseline := readBaseline[ServeReport](*serveCheckPath, "serve")
-	scenariosBaseline := readBaseline[ScenarioReport](*scenariosCheckPath, "scenarios")
-
-	// The adversarial-scenario claims harness runs when asked for.
-	if *scenariosOut != "" || *scenariosCheckPath != "" {
-		scenRep, err := benchScenarios(*scenariosSeed, *scenariosVMs, *scenariosDays)
-		if err != nil {
-			fatalf("scenarios: %v", err)
-		}
-		emitReport(*scenariosOut, scenRep)
-		if scenariosBaseline != nil {
-			if err := scenariosCheck(scenRep, scenariosBaseline, *tolerance); err != nil {
-				fatalf("REGRESSION: %v", err)
-			}
-			fmt.Fprintf(os.Stderr, "dejavu-bench: scenarios ok vs %s (%d adversarial kinds, baseline hit %.3f cost $%.2f)\n",
-				*scenariosCheckPath, len(scenRep.Scenarios), scenRep.Baseline.HitRate, scenRep.Baseline.CostUSD)
-		}
-		// Scenario-only invocations skip the other benchmarks.
-		if *out == "" && *checkPath == "" && *learnOut == "" && *learnCheckPath == "" &&
-			*serveOut == "" && *serveCheckPath == "" {
-			return
-		}
-	}
-
-	// The decision-service benchmark runs when asked for.
-	if *serveOut != "" || *serveCheckPath != "" {
-		serveRep := &ServeReport{GoVersion: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
-		if err := benchServe(serveRep, *serveClients, *serveBatch, *serveRequests); err != nil {
-			fatalf("serve: %v", err)
-		}
-		emitReport(*serveOut, serveRep)
-		if serveBaseline != nil {
-			if err := serveCheck(serveRep, serveBaseline, *tolerance, *serveBinaryFloor, *serveTCPFloor); err != nil {
-				fatalf("REGRESSION: %v", err)
-			}
-			fmt.Fprintf(os.Stderr, "dejavu-bench: serve ok vs %s (json %.0f, binary %.0f, tcp %.0f decisions/s, tcp %.1fx binary, multicore %.0f @ %d cores, replicated %.0f @ %d replicas, tcp p99 %.2fms)\n",
-				*serveCheckPath, serveRep.ServeJSON.DecisionsPerSec, serveRep.ServeBin.DecisionsPerSec,
-				serveRep.ServeTCP.DecisionsPerSec, serveRep.ServeTCP.DecisionsPerSec/serveRep.ServeBin.DecisionsPerSec,
-				serveRep.ServeTCPMulticore.DecisionsPerSec, serveRep.ServeTCPMulticore.Cores,
-				serveRep.ServeReplicated.DecisionsPerSec, serveRep.ServeReplicated.Replicas, serveRep.ServeTCP.P99Ms)
-		}
-		// Serve-only invocations skip the other benchmarks.
-		if *out == "" && *checkPath == "" && *learnOut == "" && *learnCheckPath == "" {
-			return
-		}
-	}
-
-	// The learn-phase benchmark runs when asked for (it times the
-	// deliberately slow reference path, so it is not free).
-	if *learnOut != "" || *learnCheckPath != "" {
-		learnRep := &LearnReport{GoVersion: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
-		var err error
-		if learnRep.KMeansAuto, err = benchLearn(*learnN); err != nil {
-			fatalf("learn: %v", err)
-		}
-		emitReport(*learnOut, learnRep)
-		if learnBaseline != nil {
-			if err := learnCheck(learnRep, learnBaseline, *tolerance, *speedupFloor); err != nil {
-				fatalf("REGRESSION: %v", err)
-			}
-			fmt.Fprintf(os.Stderr, "dejavu-bench: learn phase ok vs %s (%.1fms, %.1fx over reference, k=%d)\n",
-				*learnCheckPath, learnRep.KMeansAuto.FastMs, learnRep.KMeansAuto.Speedup, learnRep.KMeansAuto.ChosenK)
-		}
-		// Learn-only invocations skip the fleet benchmarks.
-		if *out == "" && *checkPath == "" {
-			return
-		}
-	}
-
-	rep := &Report{GoVersion: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
-	var err error
-	if rep.Fleet, err = benchFleet(*vms); err != nil {
-		fatalf("fleet: %v", err)
-	}
-	if rep.SignatureCollection, err = benchSignatureCollection(); err != nil {
-		fatalf("signature collection: %v", err)
-	}
-	rep.ServicePerf = benchServicePerf()
-	if rep.MVASolve, err = benchMVA(false); err != nil {
-		fatalf("mva: %v", err)
-	}
-	if rep.MVAMemoized, err = benchMVA(true); err != nil {
-		fatalf("mva memo: %v", err)
-	}
-	if *scaleVMs != "" {
-		for _, field := range strings.Split(*scaleVMs, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(field))
-			if err != nil || n <= 0 {
-				fatalf("scale-vms: bad fleet size %q", field)
-			}
-			row, err := benchFleetScale(n)
-			if err != nil {
-				fatalf("fleet scale vms=%d: %v", n, err)
-			}
-			fmt.Fprintf(os.Stderr, "dejavu-bench: scale vms=%d %.0f steps/s (%.0f per core, %d workers, %.1fs)\n",
-				row.VMs, row.StepsPerSec, row.StepsPerSecPerCore, row.Workers, row.Seconds)
-			rep.FleetScale = append(rep.FleetScale, row)
-		}
-	}
-	emitReport(*out, rep)
-	if baseline != nil {
-		if err := check(rep, baseline, *tolerance); err != nil {
-			fatalf("REGRESSION: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "dejavu-bench: no regression vs %s (steps/s %.0f >= %.0f)\n",
-			*checkPath, rep.Fleet.StepsPerSec, baseline.Fleet.StepsPerSec*(1-*tolerance))
-	}
+	suite[ScenarioReport]{"scenarios", *scenariosOut, *scenariosCheck, benchScenarios, scenarioRows}.run(false)
+	suite[ServeReport]{"serve", *serveOut, *serveCheck, benchServe, serveRows}.run(false)
+	suite[LearnReport]{"learn", *learnOut, *learnCheck, benchLearn, learnRows}.run(false)
+	// The run phase also runs when no suite is named at all.
+	others := *scenariosOut + *scenariosCheck + *serveOut + *serveCheck + *learnOut + *learnCheck
+	fleetReport := func() (*Report, error) { return benchFleetReport(scale) }
+	suite[Report]{"fleet", *out, *checkPath, fleetReport, fleetRows}.run(others == "")
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"errors"
-
 	"repro/internal/cloud"
 	"repro/internal/metrics"
 )
@@ -58,31 +56,13 @@ func (h *Handle) Put(class, bucket int, alloc cloud.Allocation) error {
 
 var _ DecisionSource = (*Handle)(nil)
 
-// repositorySource adapts a bare *Repository to DecisionSource for
-// the historical ControllerConfig.Repository path. Unlike a Handle it
-// is pinned to one repository value; ReplaceRepository swaps the
-// controller's whole source.
-type repositorySource struct{ repo *Repository }
-
-func (r repositorySource) Events() []metrics.Event { return r.repo.EventsRef() }
-
-func (r repositorySource) Lookup(sig *Signature, bucket int) (LookupResult, error) {
-	return r.repo.Lookup(sig, bucket)
-}
-
-func (r repositorySource) Get(class, bucket int) (cloud.Allocation, bool, error) {
-	alloc, ok := r.repo.Get(class, bucket)
-	return alloc, ok, nil
-}
-
-func (r repositorySource) Put(class, bucket int, alloc cloud.Allocation) error {
-	return r.repo.Put(class, bucket, alloc)
-}
-
-// SourceForRepository wraps a repository as a DecisionSource.
+// SourceForRepository wraps a repository as a DecisionSource: a fresh
+// Handle owning it, for the ControllerConfig.Repository shorthand and
+// Controller.ReplaceRepository.
 func SourceForRepository(repo *Repository) (DecisionSource, error) {
-	if repo == nil {
-		return nil, errors.New("core: nil repository")
+	h, err := NewHandle(repo)
+	if err != nil {
+		return nil, err
 	}
-	return repositorySource{repo: repo}, nil
+	return h, nil
 }

@@ -199,7 +199,7 @@ func activeTrace(spec sim.VMSpec) (*trace.Trace, error) {
 type group struct {
 	service services.Service
 	repo    *core.Repository
-	source  core.DecisionSource // repo (in-process) or a remote template
+	source  core.DecisionSource // a handle on repo, or a remote template
 	cache   *core.SharedTuningCache
 	classes int
 	vms     []int // indices into Config.Specs
@@ -318,21 +318,26 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	// Remote mode: publish each template's learning result into the
-	// daemon and route every runtime decision through the client
-	// library. The install is part of the learning bill — it is the
-	// fleet-wide "share what you learned" step.
-	if cfg.Remote != nil {
-		for _, g := range groupList {
-			name := g.service.Name()
-			if _, err := cfg.Remote.Install(name, g.repo); err != nil {
-				return nil, fmt.Errorf("fleet: installing template %s: %w", name, err)
+	// Every VM of a template decides through one shared source. In
+	// process it is a handle on the group's repository. Remote mode
+	// publishes each template's learning result into the daemon and
+	// routes every runtime decision through the client library; the
+	// install is part of the learning bill — it is the fleet-wide
+	// "share what you learned" step.
+	for _, g := range groupList {
+		var err error
+		if cfg.Remote == nil {
+			if g.source, err = core.NewHandle(g.repo); err != nil {
+				return nil, err
 			}
-			src, err := cfg.Remote.Source(name, g.repo.EventsRef())
-			if err != nil {
-				return nil, fmt.Errorf("fleet: sourcing template %s: %w", name, err)
-			}
-			g.source = src
+			continue
+		}
+		name := g.service.Name()
+		if _, err := cfg.Remote.Install(name, g.repo); err != nil {
+			return nil, fmt.Errorf("fleet: installing template %s: %w", name, err)
+		}
+		if g.source, err = cfg.Remote.Source(name, g.repo.EventsRef()); err != nil {
+			return nil, fmt.Errorf("fleet: sourcing template %s: %w", name, err)
 		}
 	}
 	learningTime := time.Since(learnStart)
@@ -529,19 +534,14 @@ func runVM(cfg Config, spec sim.VMSpec, runTrace *trace.Trace, g *group, tc *tem
 	if err != nil {
 		return nil, err
 	}
-	ctlCfg := core.ControllerConfig{
+	ctl, err := core.NewController(core.ControllerConfig{
+		Source:                g.source,
 		Profiler:              prof,
 		Tuner:                 tuner,
 		Service:               spec.Service,
 		InterferenceDetection: cfg.InterferenceDetection,
 		OnDemandProfiling:     cfg.OnDemandProfiling,
-	}
-	if g.source != nil {
-		ctlCfg.Source = g.source
-	} else {
-		ctlCfg.Repository = g.repo
-	}
-	ctl, err := core.NewController(ctlCfg)
+	})
 	if err != nil {
 		return nil, err
 	}

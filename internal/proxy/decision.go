@@ -288,16 +288,10 @@ func (f *DecisionFront) mirror(req *wire.Request, lookup bool) {
 	if rows == 0 {
 		return
 	}
+	// Decoded batches are rectangular with width ≥ 1 (the wire
+	// decoders reject empty rows), so drainMirror's `i += width`
+	// reassembly always advances.
 	width := len(req.Row(0))
-	if width == 0 {
-		// A zero-width batch (JSON permits `"signatures":[[],[]]`)
-		// must never reach drainMirror: its flattened rows carry no
-		// row boundaries, and the drain loop's `i += width` would spin
-		// forever, wedging the mirror goroutine. The daemon will
-		// reject the request anyway — count the mirror as a drop.
-		f.mirrorDrops.Add(1)
-		return
-	}
 	job := mirrorJob{
 		lookup:   lookup,
 		template: string(req.Template),

@@ -44,6 +44,18 @@ func TestBinaryRequestRejectsRagged(t *testing.T) {
 	}
 }
 
+// TestBinaryRequestRejectsEmpty: the encoder refuses the batches the
+// decoder rejects — no rows, or rows of width 0.
+func TestBinaryRequestRejectsEmpty(t *testing.T) {
+	var none, zeroWidth Request
+	zeroWidth.AppendRow(nil)
+	for name, req := range map[string]*Request{"no rows": &none, "width 0": &zeroWidth} {
+		if _, err := req.AppendBinary(nil); err == nil {
+			t.Errorf("%s: encoded, want an error", name)
+		}
+	}
+}
+
 func TestBinaryResponseRoundTrip(t *testing.T) {
 	resp := Response{Version: 41, Lookup: true, Results: []Decision{
 		{Class: 2, Certainty: 0.953, Hit: true, Type: 2, Count: 5},
@@ -96,11 +108,11 @@ func TestBinaryDecodeErrors(t *testing.T) {
 		}
 	}
 	// A structurally valid frame with zero rows is still no request.
-	var req, zero Request
-	empty, err := zero.AppendBinary(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// AppendBinary refuses to write one, so it is built by hand: the
+	// length prefix, then magic, version, template length, bucket, rows
+	// and width.
+	var req Request
+	empty := []byte{6, 0, 0, 0, reqMagic, Version, 0, 0, 0, 0}
 	if err := req.DecodeBinary(empty); err == nil || !strings.Contains(err.Error(), "no signatures") {
 		t.Errorf("zero-row frame: %v", err)
 	}

@@ -46,10 +46,9 @@ func (r *Request) DecodeJSON(body []byte) error {
 				return errors.New(`wire: "signature" and "signatures" are mutually exclusive and single-use`)
 			}
 			r.Single = true
-			if r.vals, err = s.numberRow(r.vals[:0]); err != nil {
+			if err := r.appendJSONRow(&s); err != nil {
 				return err
 			}
-			r.ends = append(r.ends, len(r.vals))
 		case "signatures":
 			if r.Single || sawBatch {
 				return errors.New(`wire: "signature" and "signatures" are mutually exclusive and single-use`)
@@ -67,10 +66,9 @@ func (r *Request) DecodeJSON(body []byte) error {
 				break
 			}
 			for {
-				if r.vals, err = s.numberRow(r.vals); err != nil {
+				if err := r.appendJSONRow(&s); err != nil {
 					return err
 				}
-				r.ends = append(r.ends, len(r.vals))
 				c, err := s.peek()
 				if err != nil {
 					return err
@@ -117,6 +115,20 @@ func (r *Request) DecodeJSON(body []byte) error {
 		return errors.New("wire: request contains no signatures")
 	}
 	return s.end()
+}
+
+// appendJSONRow parses one signature array into the next row. An empty
+// row is rejected, as the binary decoder rejects a zero-width batch.
+func (r *Request) appendJSONRow(s *scanner) (err error) {
+	start := len(r.vals)
+	if r.vals, err = s.numberRow(r.vals); err != nil {
+		return err
+	}
+	if len(r.vals) == start {
+		return errors.New("wire: empty signature row")
+	}
+	r.ends = append(r.ends, len(r.vals))
+	return nil
 }
 
 // AppendJSON encodes the request as the JSON vocabulary appended to

@@ -192,11 +192,12 @@ func (r *Request) Rectangular() (int, bool) {
 }
 
 // AppendBinary encodes the request as one binary frame appended to
-// dst. The batch must be rectangular.
+// dst. The batch must be rectangular with rows of width ≥ 1: the
+// decoder rejects anything else, so the encoder never writes it.
 func (r *Request) AppendBinary(dst []byte) ([]byte, error) {
 	width, ok := r.Rectangular()
-	if !ok {
-		return dst, errors.New("wire: binary encoding requires a rectangular batch")
+	if !ok || width == 0 {
+		return dst, errors.New("wire: binary encoding requires a non-empty rectangular batch")
 	}
 	lenAt := len(dst)
 	dst = append(dst, 0, 0, 0, 0) // length prefix backpatched below
